@@ -87,7 +87,7 @@ func (c *CPU) expandRun(r *arch.RefRun) error {
 		if r.Kind == arch.AccessFetch && r.Block > 1 {
 			err = c.FetchBlock(va, r.Block)
 		} else {
-			err = c.access(va, r.Kind)
+			_, _, err = c.access(va, r.Kind)
 		}
 		if err != nil {
 			return err
@@ -97,9 +97,9 @@ func (c *CPU) expandRun(r *arch.RefRun) error {
 	return nil
 }
 
-// fetchBlockRun executes a run of page visits. FetchBlock has its own
-// fused fast path (one peek, one committed double-hit, one cache run),
-// so the per-visit loop is already batched where it counts; the visits
+// fetchBlockRun executes a run of page visits. Each FetchBlock
+// translates once and issues its remaining lines as one cache run, so
+// the per-visit loop is already batched where it counts; the visits
 // themselves cannot fuse further because each one re-decides its page.
 func (c *CPU) fetchBlockRun(r *arch.RefRun) error {
 	va := r.VA
@@ -121,7 +121,8 @@ func (c *CPU) fetchBlockRun(r *arch.RefRun) error {
 func (c *CPU) refRunFused(r *arch.RefRun) error {
 	ctx := c.cur
 	if ctx == nil {
-		return c.access(r.VA, r.Kind) // scalar path reports the error
+		_, _, err := c.access(r.VA, r.Kind) // scalar path reports the error
+		return err
 	}
 	micro := c.MicroI
 	fetch := r.Kind == arch.AccessFetch
@@ -153,7 +154,7 @@ func (c *CPU) refRunFused(r *arch.RefRun) error {
 			// scalar path (main-TLB probe, walk, fault handling, retries),
 			// with the fast path's accumulated costs flushed first.
 			flush()
-			if err := c.access(va, r.Kind); err != nil {
+			if _, _, err := c.access(va, r.Kind); err != nil {
 				return err
 			}
 			va += r.Stride

@@ -265,14 +265,14 @@ func TestAccessBatchNoContext(t *testing.T) {
 }
 
 // TestFetchBlockPageBoundary: a block starting near the end of a page
-// must clamp at the boundary on the fused fast path exactly as on the
-// scalar path — same instruction count, same stall accounting, and no
-// touch of the next page.
+// must clamp at the boundary with and without a sampling period — same
+// instruction count, same stall accounting, and no touch of the next
+// page.
 func TestFetchBlockPageBoundary(t *testing.T) {
 	build := func(sampleEvery int) (*CPU, *Context) {
 		phys := mem.New(256)
 		c := New(&demandPager{phys: phys}, geoARM)
-		c.SampleEvery = sampleEvery // > 0 disables the fused block path (nil sampler: no ticks)
+		c.SampleEvery = sampleEvery // nil sampler: no ticks
 		ctx := newCtx(t, phys, 1, 1, armv7.StockDACR())
 		c.ContextSwitch(ctx)
 		return c, ctx
@@ -282,7 +282,7 @@ func TestFetchBlockPageBoundary(t *testing.T) {
 
 	const va = arch.VirtAddr(0x8000 + arch.PageSize - 3*4) // 3 instruction slots left
 	for _, m := range []*CPU{fused, scalar} {
-		if err := m.Fetch(0x8000); err != nil { // warm the page so the fused path engages
+		if err := m.Fetch(0x8000); err != nil { // warm the page: the block hits the micro-TLB
 			t.Fatal(err)
 		}
 		if err := m.FetchBlock(va, 100); err != nil {

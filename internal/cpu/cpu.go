@@ -277,17 +277,20 @@ func (c *CPU) ContextSwitch(ctx *Context) {
 // instruction side, access the I-cache, and charge the cycles. A
 // translation or permission fault invokes the kernel handler and retries.
 func (c *CPU) Fetch(va arch.VirtAddr) error {
-	return c.access(va, arch.AccessFetch)
+	_, _, err := c.access(va, arch.AccessFetch)
+	return err
 }
 
 // Read executes a user load at va through the data side.
 func (c *CPU) Read(va arch.VirtAddr) error {
-	return c.access(va, arch.AccessRead)
+	_, _, err := c.access(va, arch.AccessRead)
+	return err
 }
 
 // Write executes a user store at va through the data side.
 func (c *CPU) Write(va arch.VirtAddr) error {
-	return c.access(va, arch.AccessWrite)
+	_, _, err := c.access(va, arch.AccessWrite)
+	return err
 }
 
 // FetchBlock models the execution of n sequential instructions starting
@@ -308,33 +311,13 @@ func (c *CPU) FetchBlock(va arch.VirtAddr, n int) error {
 	if ctx == nil {
 		return fmt.Errorf("cpu: fetch block at %#x with no context", va)
 	}
-	// Fast path: when the page already translates in the micro-TLB and no
-	// sampler needs per-instruction attribution, the whole visit fuses —
-	// the scalar path's two Lookup hits (the first instruction's access
-	// and the block's explicit re-translation below) commit as one
-	// weight-2 update, the cache references issue exactly as the scalar
-	// path would issue them, and all costs are charged in one update.
-	// Any other outcome (micro miss, fault, sampling) takes the scalar
-	// path below, which remains the reference.
-	if n > 1 && c.SampleEvery <= 0 {
-		if e, slot, r := c.MicroI.Peek(va, ctx.ASID, ctx.DACR, arch.AccessFetch); r == tlb.Hit {
-			c.MicroI.CommitRunHits(slot, 2, va, ctx.ASID, ctx.DACR)
-			c.lastFetchVA = va
-			ctx.Stats.Instructions += uint64(n)
-			pa := c.physAddr(e.Frame(), e.Flags(), va)
-			firstLine := int(va&arch.PageMask) / lineSize
-			lastLine := (int(va&arch.PageMask) + n*instrSize - 1) / lineSize
-			// One cache run covers every line of the block, the first
-			// included: AccessRun at pa starts with pa's own line.
-			stall := c.Caches.FetchRun(pa, lastLine-firstLine+1)
-			ctx.Stats.ICacheStallCycles += uint64(stall)
-			c.charge(n*c.Costs.BaseInstr + stall)
-			return nil
-		}
-	}
-	// First instruction takes the full translation path (and handles any
-	// fault); the rest of the block reuses the translation.
-	if err := c.access(va, arch.AccessFetch); err != nil {
+	// The first instruction takes the full translation path (and handles
+	// any fault); the rest of the block reuses the translation. The
+	// block's own translation is one more micro-TLB hit on the entry the
+	// first instruction resolved at — nothing touched the TLB since — so
+	// it commits at that slot without a second probe.
+	pa, slot, err := c.access(va, arch.AccessFetch)
+	if err != nil {
 		return err
 	}
 	rest := n - 1
@@ -346,13 +329,8 @@ func (c *CPU) FetchBlock(va arch.VirtAddr, n int) error {
 	if c.SampleEvery > 0 {
 		c.tick(va, false, rest)
 	}
-	e, r := c.MicroI.Lookup(va, ctx.ASID, ctx.DACR, arch.AccessFetch)
-	if r != tlb.Hit {
-		// The fetch above inserted the translation; a miss here means a
-		// concurrent flush, which cannot happen in this single-core model.
-		return fmt.Errorf("cpu: lost translation for block at %#x", va)
-	}
-	pageBase := c.physAddr(e.Frame(), e.Flags(), va) - arch.PhysAddr(va&arch.PageMask)
+	c.MicroI.CommitRunHits(slot, 1, va, ctx.ASID, ctx.DACR)
+	pageBase := pa - arch.PhysAddr(va&arch.PageMask)
 	firstLine := int(va&arch.PageMask) / lineSize
 	lastLine := (int(va&arch.PageMask) + n*instrSize - 1) / lineSize
 	if lines := lastLine - firstLine; lines > 0 {
@@ -387,10 +365,12 @@ func (c *CPU) Touch(va arch.VirtAddr, write bool) error {
 	return c.Read(va)
 }
 
-func (c *CPU) access(va arch.VirtAddr, kind arch.AccessKind) error {
+// access executes one user reference and returns the physical address
+// it resolved to and the micro-TLB slot holding its translation.
+func (c *CPU) access(va arch.VirtAddr, kind arch.AccessKind) (arch.PhysAddr, int32, error) {
 	ctx := c.cur
 	if ctx == nil {
-		return fmt.Errorf("cpu: access %#x with no context", va)
+		return 0, -1, fmt.Errorf("cpu: access %#x with no context", va)
 	}
 	c.charge(c.Costs.BaseInstr)
 	ctx.Stats.Instructions++
@@ -410,11 +390,11 @@ func (c *CPU) access(va arch.VirtAddr, kind arch.AccessKind) error {
 
 	const maxRetries = 8
 	for attempt := 0; attempt < maxRetries; attempt++ {
-		pa, ok, err := c.translate(va, kind, micro, stall, mainMisses)
+		pa, slot, err := c.translate(va, kind, micro, stall, mainMisses)
 		if err != nil {
-			return err
+			return 0, -1, err
 		}
-		if !ok {
+		if slot < 0 {
 			continue // fault handled; retry the translation
 		}
 		var lat int
@@ -426,40 +406,41 @@ func (c *CPU) access(va arch.VirtAddr, kind arch.AccessKind) error {
 			ctx.Stats.DCacheStallCycles += uint64(lat - 1)
 		}
 		c.charge(lat - 1)
-		return nil
+		return pa, slot, nil
 	}
-	return fmt.Errorf("cpu: %s at %#x did not resolve after %d fault retries (pid %d %q)",
+	return 0, -1, fmt.Errorf("cpu: %s at %#x did not resolve after %d fault retries (pid %d %q)",
 		kind, va, maxRetries, ctx.ID, ctx.Name)
 }
 
-// translate resolves va to a physical address. ok=false means a fault was
-// delivered to the kernel and the access must be retried.
-func (c *CPU) translate(va arch.VirtAddr, kind arch.AccessKind, micro *tlb.TLB, stall *uint64, mainMisses *uint64) (arch.PhysAddr, bool, error) {
+// translate resolves va to a physical address and the micro-TLB slot
+// holding the translation. slot = -1 means a fault was delivered to the
+// kernel and the access must be retried.
+func (c *CPU) translate(va arch.VirtAddr, kind arch.AccessKind, micro *tlb.TLB, stall *uint64, mainMisses *uint64) (arch.PhysAddr, int32, error) {
 	ctx := c.cur
-	e, r := micro.Lookup(va, ctx.ASID, ctx.DACR, kind)
+	e, slot, r := micro.Lookup(va, ctx.ASID, ctx.DACR, kind)
 	switch r {
 	case tlb.Hit:
-		return c.physAddr(e.Frame(), e.Flags(), va), true, nil
+		return c.physAddr(e.Frame(), e.Flags(), va), slot, nil
 	case tlb.DomainFault:
 		c.domainFault(va, micro)
-		return 0, false, nil
+		return 0, -1, nil
 	case tlb.PermFault:
-		return 0, false, c.pageFault(va, kind, micro)
+		return 0, -1, c.pageFault(va, kind, micro)
 	}
 
 	// Micro miss: probe the main TLB.
 	c.charge(c.Costs.MainTLBHit)
 	*stall += uint64(c.Costs.MainTLBHit)
-	e, r = c.Main.Lookup(va, ctx.ASID, ctx.DACR, kind)
+	e, _, r = c.Main.Lookup(va, ctx.ASID, ctx.DACR, kind)
 	switch r {
 	case tlb.Hit:
-		micro.Insert(va, ctx.ASID, e.Frame(), e.Flags(), e.Domain())
-		return c.physAddr(e.Frame(), e.Flags(), va), true, nil
+		slot = micro.Insert(va, ctx.ASID, e.Frame(), e.Flags(), e.Domain())
+		return c.physAddr(e.Frame(), e.Flags(), va), slot, nil
 	case tlb.DomainFault:
 		c.domainFault(va, micro)
-		return 0, false, nil
+		return 0, -1, nil
 	case tlb.PermFault:
-		return 0, false, c.pageFault(va, kind, micro)
+		return 0, -1, c.pageFault(va, kind, micro)
 	}
 
 	// Main miss: hardware page walk. The walker reads one entry per
@@ -467,7 +448,7 @@ func (c *CPU) translate(va arch.VirtAddr, kind arch.AccessKind, micro *tlb.TLB, 
 	// leaf PTE word has the same physical address in every process.
 	*mainMisses++
 	walk := c.Costs.WalkFixed
-	pte, slot, fault, path := ctx.PT.Walk(va)
+	pte, pteSlot, fault, path := ctx.PT.Walk(va)
 	for i := 0; i < path.N; i++ {
 		walk += c.Caches.Walk(path.Addrs[i])
 	}
@@ -475,20 +456,20 @@ func (c *CPU) translate(va arch.VirtAddr, kind arch.AccessKind, micro *tlb.TLB, 
 	*stall += uint64(walk)
 
 	if fault != arch.FaultNone {
-		return 0, false, c.pageFault(va, kind, micro)
+		return 0, -1, c.pageFault(va, kind, micro)
 	}
-	if !permits(pte.Flags, kind, ctx.DACR.Access(slot.Domain)) {
-		if ctx.DACR.Access(slot.Domain) == arch.DomainNoAccess {
+	if !permits(pte.Flags, kind, ctx.DACR.Access(pteSlot.Domain)) {
+		if ctx.DACR.Access(pteSlot.Domain) == arch.DomainNoAccess {
 			// Architecturally a walk into a no-access domain aborts
 			// with a domain fault rather than loading the TLB.
 			c.domainFault(va, micro)
-			return 0, false, nil
+			return 0, -1, nil
 		}
-		return 0, false, c.pageFault(va, kind, micro)
+		return 0, -1, c.pageFault(va, kind, micro)
 	}
-	c.Main.Insert(va, ctx.ASID, pte.Frame, pte.Flags, slot.Domain)
-	micro.Insert(va, ctx.ASID, pte.Frame, pte.Flags, slot.Domain)
-	return c.physAddr(pte.Frame, pte.Flags, va), true, nil
+	c.Main.Insert(va, ctx.ASID, pte.Frame, pte.Flags, pteSlot.Domain)
+	slot = micro.Insert(va, ctx.ASID, pte.Frame, pte.Flags, pteSlot.Domain)
+	return c.physAddr(pte.Frame, pte.Flags, va), slot, nil
 }
 
 // physAddr computes the physical address for a translated access,

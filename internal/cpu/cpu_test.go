@@ -307,6 +307,44 @@ func TestDomainFaultForNonZygote(t *testing.T) {
 	}
 }
 
+func TestDomainFaultFlushesLargeGlobalEntry(t *testing.T) {
+	// A zygote loads a global zygote-domain 64KB entry; a non-zygote
+	// process then fetches inside the block at a VA that is not its
+	// base. The entry stores the block's base VPN, and the domain-fault
+	// handler must still flush it, or every retry trips over it again.
+	phys := mem.New(1 << 12)
+	c := New(&demandPager{phys: phys}, geoARM)
+	zyg := newCtx(t, phys, 1, 1, armv7.ZygoteDACR())
+	const block = arch.VirtAddr(0x40000000)
+	if _, err := zyg.PT.EnsureLeafForVA(block, armv7.DomainZygote); err != nil {
+		t.Fatal(err)
+	}
+	zyg.PT.SetLarge(block, 1<<11, arch.PTEValid|arch.PTEUser|arch.PTEExec|arch.PTEGlobal, 0)
+	c.ContextSwitch(zyg)
+	if err := c.Fetch(block); err != nil {
+		t.Fatal(err)
+	}
+	if _, global := c.Main.Occupancy(); global != 1 {
+		t.Fatalf("zygote fetch left %d global main-TLB entries, want the 64KB entry", global)
+	}
+
+	daemon := newCtx(t, phys, 2, 2, armv7.StockDACR())
+	c.ContextSwitch(daemon)
+	va := block + 3*arch.PageSize + 0x40
+	if err := c.Fetch(va); err != nil {
+		t.Fatal(err)
+	}
+	if daemon.Stats.DomainFaults != 1 {
+		t.Errorf("DomainFaults = %d, want 1", daemon.Stats.DomainFaults)
+	}
+	if _, global := c.Main.Occupancy(); global != 0 {
+		t.Errorf("%d global main-TLB entries survived the domain fault", global)
+	}
+	if p := daemon.PT.PTEAt(va); p == nil || !p.Valid() || p.Global() {
+		t.Errorf("daemon should have a private non-global PTE, got %+v", p)
+	}
+}
+
 func TestStallAccounting(t *testing.T) {
 	phys := mem.New(256)
 	c := New(&demandPager{phys: phys}, geoARM)

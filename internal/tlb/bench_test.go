@@ -25,7 +25,7 @@ func BenchmarkTLBLookupHit(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, r := tb.Lookup(arch.VirtAddr(i&127)<<arch.PageShift, 1, dacr, arch.AccessFetch); r != Hit {
+		if _, _, r := tb.Lookup(arch.VirtAddr(i&127)<<arch.PageShift, 1, dacr, arch.AccessFetch); r != Hit {
 			b.Fatal("unexpected miss")
 		}
 	}
@@ -41,7 +41,7 @@ func BenchmarkTLBLookupHitMRU(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, r := tb.Lookup(0x1000, 1, dacr, arch.AccessFetch); r != Hit {
+		if _, _, r := tb.Lookup(0x1000, 1, dacr, arch.AccessFetch); r != Hit {
 			b.Fatal("unexpected miss")
 		}
 	}
@@ -57,7 +57,7 @@ func BenchmarkTLBLookupMiss(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		va := arch.VirtAddr(1024+(i&1023)) << arch.PageShift
-		if _, r := tb.Lookup(va, 1, dacr, arch.AccessFetch); r != Miss {
+		if _, _, r := tb.Lookup(va, 1, dacr, arch.AccessFetch); r != Miss {
 			b.Fatal("unexpected hit")
 		}
 	}
@@ -92,7 +92,7 @@ func BenchmarkTLBLookupLargePage(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		// Probe every 4KB page of the 64KB blocks in turn.
 		va := arch.VirtAddr(i&1023) << arch.PageShift
-		if _, r := tb.Lookup(va, 1, dacr, arch.AccessFetch); r != Hit {
+		if _, _, r := tb.Lookup(va, 1, dacr, arch.AccessFetch); r != Hit {
 			b.Fatal("unexpected miss")
 		}
 	}
@@ -116,7 +116,7 @@ func BenchmarkReferenceTLBLookupHit(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, r := tb.Lookup(arch.VirtAddr(i&127)<<arch.PageShift, 1, dacr, arch.AccessFetch); r != Hit {
+		if _, _, r := tb.Lookup(arch.VirtAddr(i&127)<<arch.PageShift, 1, dacr, arch.AccessFetch); r != Hit {
 			b.Fatal("unexpected miss")
 		}
 	}
@@ -129,7 +129,7 @@ func BenchmarkReferenceTLBLookupHitMRU(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, r := tb.Lookup(0x1000, 1, dacr, arch.AccessFetch); r != Hit {
+		if _, _, r := tb.Lookup(0x1000, 1, dacr, arch.AccessFetch); r != Hit {
 			b.Fatal("unexpected miss")
 		}
 	}
@@ -143,7 +143,7 @@ func BenchmarkReferenceTLBLookupMiss(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		va := arch.VirtAddr(1024+(i&1023)) << arch.PageShift
-		if _, r := tb.Lookup(va, 1, dacr, arch.AccessFetch); r != Miss {
+		if _, _, r := tb.Lookup(va, 1, dacr, arch.AccessFetch); r != Miss {
 			b.Fatal("unexpected hit")
 		}
 	}
@@ -173,7 +173,7 @@ func BenchmarkReferenceTLBLookupLargePage(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		va := arch.VirtAddr(i&1023) << arch.PageShift
-		if _, r := tb.Lookup(va, 1, dacr, arch.AccessFetch); r != Hit {
+		if _, _, r := tb.Lookup(va, 1, dacr, arch.AccessFetch); r != Hit {
 			b.Fatal("unexpected miss")
 		}
 	}

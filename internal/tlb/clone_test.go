@@ -46,3 +46,27 @@ func TestCloneAllocationBounded(t *testing.T) {
 		t.Errorf("Clone() = %.0f allocs for a full 64-entry TLB, want <= %.0f", allocs, max)
 	}
 }
+
+// TestCloneDetachesKeyChains mutates a clone's key chains and then walks
+// the original's: the two must share no index state.
+func TestCloneDetachesKeyChains(t *testing.T) {
+	a := New("main", 16, armv7.PagesPerLargePage)
+	for i := 0; i < 8; i++ {
+		a.Insert(arch.VirtAddr(i*arch.PageSize), 1, arch.FrameNum(i), arch.PTEValid, 1)
+	}
+	b := a.Clone(nil, nil)
+	for i := 0; i < 8; i++ {
+		b.FlushVA(arch.VirtAddr(i * arch.PageSize))
+	}
+	for i := 0; i < 16; i++ {
+		b.Insert(arch.VirtAddr(i%2*arch.PageSize), arch.ASID(2+i), arch.FrameNum(i), arch.PTEValid, 1)
+	}
+	for i := 0; i < 8; i++ {
+		if n := a.FlushVA(arch.VirtAddr(i * arch.PageSize)); n != 1 {
+			t.Fatalf("original FlushVA(page %d) removed %d entries after the clone was mutated, want 1", i, n)
+		}
+	}
+	if n := b.FlushVA(0); n != 8 {
+		t.Errorf("clone FlushVA(0) removed %d entries, want the 8 ASIDs holding page 0", n)
+	}
+}

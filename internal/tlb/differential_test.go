@@ -37,26 +37,50 @@ func diffDACRs() []arch.DACR {
 	}
 }
 
-// diffOp applies one random operation to both implementations and fails
-// the test on any divergence in the operation's outcome.
-func diffOp(t *testing.T, rng *rand.Rand, indexed *TLB, ref *linearTLB, dacrs []arch.DACR) {
+// diffDraw picks the address and address space of one operation.
+type diffDraw func(rng *rand.Rand) (arch.VirtAddr, arch.ASID)
+
+// uniformDraw draws from a pool of pages small pages, with offsets
+// within pages so VPN extraction is exercised, under asids address
+// spaces.
+func uniformDraw(pages, asids int) diffDraw {
+	return func(rng *rand.Rand) (arch.VirtAddr, arch.ASID) {
+		va := arch.VirtAddr(rng.Intn(pages))<<arch.PageShift | arch.VirtAddr(rng.Intn(arch.PageSize))
+		return va, arch.ASID(1 + rng.Intn(asids))
+	}
+}
+
+// Operation codes for diffOp: op in [0, 100) picks the operation, so a
+// uniform draw gives each its share of the mix.
+const (
+	opLookup         = 0
+	opInsert         = 55
+	opFlushVA        = 85
+	opFlushASID      = 90
+	opFlushRange     = 93
+	opFlushNonGlobal = 96
+	opFlushGlobal    = 97
+	opFlushAll       = 99
+)
+
+// diffOp applies operation op with random operands to both
+// implementations and fails the test on any divergence in the
+// operation's outcome.
+func diffOp(t *testing.T, rng *rand.Rand, indexed *TLB, ref *linearTLB, dacrs []arch.DACR, draw diffDraw, op int) {
 	t.Helper()
-	// Address pool: 48 small pages, aliasing the first three 64KB blocks,
-	// plus offsets within pages so VPN extraction is exercised.
-	va := arch.VirtAddr(rng.Intn(48))<<arch.PageShift | arch.VirtAddr(rng.Intn(arch.PageSize))
-	asid := arch.ASID(1 + rng.Intn(3))
+	va, asid := draw(rng)
 	kind := arch.AccessKind(rng.Intn(3))
 	dacr := dacrs[rng.Intn(len(dacrs))]
 
-	switch r := rng.Intn(100); {
-	case r < 55: // Lookup
-		ge, gr := indexed.Lookup(va, asid, dacr, kind)
-		we, wr := ref.Lookup(va, asid, dacr, kind)
-		if ge != we || gr != wr {
-			t.Fatalf("Lookup(%#x, asid %d, dacr %#x, %v) diverged:\n  indexed (%+v, %v)\n  reference (%+v, %v)",
-				va, asid, dacr, kind, ge, gr, we, wr)
+	switch {
+	case op < opInsert: // Lookup
+		ge, gs, gr := indexed.Lookup(va, asid, dacr, kind)
+		we, ws, wr := ref.Lookup(va, asid, dacr, kind)
+		if ge != we || gs != ws || gr != wr {
+			t.Fatalf("Lookup(%#x, asid %d, dacr %#x, %v) diverged:\n  indexed (%+v, slot %d, %v)\n  reference (%+v, slot %d, %v)",
+				va, asid, dacr, kind, ge, gs, gr, we, ws, wr)
 		}
-	case r < 85: // Insert
+	case op < opFlushVA: // Insert
 		flags := arch.PTEValid
 		if rng.Intn(100) < 80 {
 			flags |= arch.PTEUser
@@ -75,25 +99,26 @@ func diffOp(t *testing.T, rng *rand.Rand, indexed *TLB, ref *linearTLB, dacrs []
 		}
 		frame := arch.FrameNum(rng.Intn(1 << 16))
 		domain := uint8(rng.Intn(4))
-		indexed.Insert(va, asid, frame, flags, domain)
-		ref.Insert(va, asid, frame, flags, domain)
-	case r < 90: // FlushVA (the domain-fault handler / shootdown path)
+		if gs, ws := indexed.Insert(va, asid, frame, flags, domain), ref.Insert(va, asid, frame, flags, domain); gs != ws {
+			t.Fatalf("Insert(%#x, asid %d, flags %#x) filled slot %d, reference slot %d", va, asid, flags, gs, ws)
+		}
+	case op < opFlushASID: // FlushVA (the domain-fault handler / shootdown path)
 		if gn, wn := indexed.FlushVA(va), ref.FlushVA(va); gn != wn {
 			t.Fatalf("FlushVA(%#x) diverged: indexed %d, reference %d", va, gn, wn)
 		}
-	case r < 93: // FlushASID
+	case op < opFlushRange: // FlushASID
 		indexed.FlushASID(asid)
 		ref.FlushASID(asid)
-	case r < 96: // FlushRange
+	case op < opFlushNonGlobal: // FlushRange
 		end := va + arch.VirtAddr(rng.Intn(8))<<arch.PageShift + 1
 		if gn, wn := indexed.FlushRange(va, end, asid), ref.FlushRange(va, end, asid); gn != wn {
 			t.Fatalf("FlushRange(%#x, %#x, asid %d) diverged: indexed %d, reference %d", va, end, asid, gn, wn)
 		}
-	case r < 97: // FlushNonGlobal (no-ASID context switch)
+	case op < opFlushGlobal: // FlushNonGlobal (no-ASID context switch)
 		if gn, wn := indexed.FlushNonGlobal(), ref.FlushNonGlobal(); gn != wn {
 			t.Fatalf("FlushNonGlobal diverged: indexed %d, reference %d", gn, wn)
 		}
-	case r < 99: // FlushGlobal (no-domain shared-mapping shootdown)
+	case op < opFlushAll: // FlushGlobal (no-domain shared-mapping shootdown)
 		if gn, wn := indexed.FlushGlobal(), ref.FlushGlobal(); gn != wn {
 			t.Fatalf("FlushGlobal diverged: indexed %d, reference %d", gn, wn)
 		}
@@ -145,7 +170,9 @@ func TestDifferentialIndexedVsLinear(t *testing.T) {
 					indexed.DomainMatchInHW = hw
 					ref.DomainMatchInHW = hw
 					for step := 0; step < opsPerConfig; step++ {
-						diffOp(t, rng, indexed, ref, dacrs)
+						// Address pool: 48 small pages, aliasing the first
+						// three 64KB blocks.
+						diffOp(t, rng, indexed, ref, dacrs, uniformDraw(48, 3), rng.Intn(100))
 						diffCompareState(t, step, indexed, ref)
 					}
 				})
@@ -168,7 +195,7 @@ func TestDifferentialHWToggle(t *testing.T) {
 			indexed.DomainMatchInHW = hw
 			ref.DomainMatchInHW = hw
 		}
-		diffOp(t, rng, indexed, ref, dacrs)
+		diffOp(t, rng, indexed, ref, dacrs, uniformDraw(48, 3), rng.Intn(100))
 		diffCompareState(t, step, indexed, ref)
 	}
 }
@@ -190,11 +217,11 @@ func TestDifferentialLargePageHeavy(t *testing.T) {
 		dacr := dacrs[rng.Intn(len(dacrs))]
 		switch r := rng.Intn(10); {
 		case r < 5:
-			ge, gr := indexed.Lookup(va, asid, dacr, arch.AccessFetch)
-			we, wr := ref.Lookup(va, asid, dacr, arch.AccessFetch)
-			if ge != we || gr != wr {
-				t.Fatalf("Lookup(%#x, asid %d) diverged: indexed (%+v, %v), reference (%+v, %v)",
-					va, asid, ge, gr, we, wr)
+			ge, gs, gr := indexed.Lookup(va, asid, dacr, arch.AccessFetch)
+			we, ws, wr := ref.Lookup(va, asid, dacr, arch.AccessFetch)
+			if ge != we || gs != ws || gr != wr {
+				t.Fatalf("Lookup(%#x, asid %d) diverged: indexed (%+v, slot %d, %v), reference (%+v, slot %d, %v)",
+					va, asid, ge, gs, gr, we, ws, wr)
 			}
 		case r < 9:
 			flags := arch.PTEValid | arch.PTEUser | arch.PTEExec
@@ -204,14 +231,139 @@ func TestDifferentialLargePageHeavy(t *testing.T) {
 			if rng.Intn(2) == 0 {
 				flags |= arch.PTEGlobal
 			}
-			indexed.Insert(va, asid, arch.FrameNum(step), flags, armv7.DomainUser)
-			ref.Insert(va, asid, arch.FrameNum(step), flags, armv7.DomainUser)
+			gs := indexed.Insert(va, asid, arch.FrameNum(step), flags, armv7.DomainUser)
+			if ws := ref.Insert(va, asid, arch.FrameNum(step), flags, armv7.DomainUser); gs != ws {
+				t.Fatalf("Insert(%#x, asid %d) filled slot %d, reference slot %d", va, asid, gs, ws)
+			}
 		default:
 			if gn, wn := indexed.FlushVA(va), ref.FlushVA(va); gn != wn {
 				t.Fatalf("FlushVA(%#x) diverged: indexed %d, reference %d", va, gn, wn)
 			}
 		}
 		diffCompareState(t, step, indexed, ref)
+	}
+}
+
+// diffPeekCommit is the batch engine's probe-then-commit step: Peek, and
+// on a Hit commit a run of n hits at the peeked slot, against n scalar
+// reference Lookups that must each hit that slot. On any other outcome
+// the scalar Lookup takes over on both sides, and Peek must have
+// predicted its result exactly.
+func diffPeekCommit(t *testing.T, rng *rand.Rand, indexed *TLB, ref *linearTLB, dacrs []arch.DACR, draw diffDraw) {
+	t.Helper()
+	va, asid := draw(rng)
+	kind := arch.AccessKind(rng.Intn(3))
+	dacr := dacrs[rng.Intn(len(dacrs))]
+	pe, ps, pr := indexed.Peek(va, asid, dacr, kind)
+	if pr == Hit {
+		n := uint64(1 + rng.Intn(4))
+		indexed.CommitRunHits(ps, n, va, asid, dacr)
+		for i := uint64(0); i < n; i++ {
+			we, ws, wr := ref.Lookup(va, asid, dacr, kind)
+			if wr != Hit || ws != ps || we.frame != pe.frame || we.flags != pe.flags {
+				t.Fatalf("Peek(%#x, asid %d) hit slot %d (%+v); reference lookup %d of %d: slot %d, %v (%+v)",
+					va, asid, ps, pe, i, n, ws, wr, we)
+			}
+		}
+		return
+	}
+	ge, gs, gr := indexed.Lookup(va, asid, dacr, kind)
+	we, ws, wr := ref.Lookup(va, asid, dacr, kind)
+	if ge != we || gs != ws || gr != wr || pe != ge || ps != gs || pr != gr {
+		t.Fatalf("Peek/Lookup(%#x, asid %d, dacr %#x, %v) diverged:\n  peek (%+v, slot %d, %v)\n  indexed (%+v, slot %d, %v)\n  reference (%+v, slot %d, %v)",
+			va, asid, dacr, kind, pe, ps, pr, ge, gs, gr, we, ws, wr)
+	}
+}
+
+// maxChain returns the length of the TLB's longest key chain.
+func maxChain(tb *TLB) int {
+	longest := 0
+	for i, k := range tb.idx.keys {
+		if k == idxEmpty {
+			continue
+		}
+		n := 0
+		for s := tb.idx.slots[i]; s >= 0; s = tb.keyNext[s] {
+			n++
+		}
+		longest = max(longest, n)
+	}
+	return longest
+}
+
+// TestDifferentialBinderShaped drives the traffic of the Binder IPC
+// experiment: eight address spaces over a 16-page pool, with a
+// context-switch flush about every 25 operations and the batch engine's
+// Peek/CommitRunHits in the mix. Each subtest issues one flush kind at
+// its switches, as one TLB in one configuration does: the micro-TLBs and
+// the no-ASID main TLB flush everything, the shared-TLB kernel's
+// no-ASID main TLB keeps global entries, and a switch to a process
+// outside the sharing set drops them. Half the draws go to one hot page,
+// as both endpoints of a call keep re-entering the same code, so its key
+// chain grows to all eight ASIDs.
+func TestDifferentialBinderShaped(t *testing.T) {
+	dacrs := diffDACRs()
+	const (
+		pages = 16
+		asids = 8
+		steps = 12000
+	)
+	uniform := uniformDraw(pages, asids)
+	draw := func(rng *rand.Rand) (arch.VirtAddr, arch.ASID) {
+		va, asid := uniform(rng)
+		if rng.Intn(2) == 0 {
+			va &= arch.PageMask
+		}
+		return va, asid
+	}
+	switchFlushes := []struct {
+		name string
+		op   int
+	}{{"all", opFlushAll}, {"nonglobal", opFlushNonGlobal}, {"global", opFlushGlobal}}
+	longest := 0
+	for _, sw := range switchFlushes {
+		for _, size := range []int{32, 128} {
+			for _, hw := range []bool{false, true} {
+				for _, ppl := range []int{armv7.PagesPerLargePage, sv39.PagesPerMegaPage} {
+					name := fmt.Sprintf("switch=%s/size=%d/hw=%v/ppl=%d", sw.name, size, hw, ppl)
+					seed := int64(sw.op*1000+size*3+boolToInt(hw)) + int64(ppl)
+					t.Run(name, func(t *testing.T) {
+						rng := rand.New(rand.NewSource(seed))
+						indexed := New("diff", size, ppl)
+						ref := newLinear(size, ppl)
+						indexed.DomainMatchInHW = hw
+						ref.DomainMatchInHW = hw
+						for step := 0; step < steps; step++ {
+							if rng.Intn(25) == 0 {
+								diffOp(t, rng, indexed, ref, dacrs, draw, sw.op)
+								diffCompareState(t, step, indexed, ref)
+								continue
+							}
+							switch r := rng.Intn(100); {
+							case r < 20:
+								diffPeekCommit(t, rng, indexed, ref, dacrs, draw)
+							case r < 50:
+								diffOp(t, rng, indexed, ref, dacrs, draw, opLookup)
+							case r < 90:
+								diffOp(t, rng, indexed, ref, dacrs, draw, opInsert)
+							case r < 93:
+								diffOp(t, rng, indexed, ref, dacrs, draw, opFlushVA)
+							case r < 96:
+								diffOp(t, rng, indexed, ref, dacrs, draw, opFlushASID)
+							default:
+								diffOp(t, rng, indexed, ref, dacrs, draw, opFlushRange)
+							}
+							diffCompareState(t, step, indexed, ref)
+							longest = max(longest, maxChain(indexed))
+						}
+					})
+				}
+			}
+		}
+	}
+	t.Logf("longest key chain: %d slots", longest)
+	if longest < asids {
+		t.Errorf("longest key chain reached %d slots, want the %d ASIDs sharing a page", longest, asids)
 	}
 }
 

@@ -23,20 +23,20 @@ func Example() {
 
 	// An application forked from the zygote (ASID 2) fetches the same
 	// page: the global bit makes the entry match despite the ASID.
-	_, r := main.Lookup(0x40000000, 2, armv7.ZygoteDACR(), arch.AccessFetch)
+	_, _, r := main.Lookup(0x40000000, 2, armv7.ZygoteDACR(), arch.AccessFetch)
 	fmt.Println("zygote child:", r)
 
 	// A system daemon (ASID 3, no zygote-domain access) trips over it.
-	_, r = main.Lookup(0x40000000, 3, armv7.StockDACR(), arch.AccessFetch)
+	_, _, r = main.Lookup(0x40000000, 3, armv7.StockDACR(), arch.AccessFetch)
 	fmt.Println("daemon:", r)
 
 	// The exception handler flushes the matching entries; the retry
 	// misses and the daemon's own walk loads a private entry.
 	main.FlushVA(0x40000000)
-	_, r = main.Lookup(0x40000000, 3, armv7.StockDACR(), arch.AccessFetch)
+	_, _, r = main.Lookup(0x40000000, 3, armv7.StockDACR(), arch.AccessFetch)
 	fmt.Println("daemon after flush:", r)
 	main.Insert(0x40000000, 3, 200, flags&^arch.PTEGlobal, armv7.DomainUser)
-	e, r := main.Lookup(0x40000000, 3, armv7.StockDACR(), arch.AccessFetch)
+	e, _, r := main.Lookup(0x40000000, 3, armv7.StockDACR(), arch.AccessFetch)
 	fmt.Printf("daemon retry: %v (frame %d)\n", r, e.Frame())
 
 	// Output:

@@ -1,18 +1,22 @@
 // idxTable is the TLB's key-to-slot index: a small open-addressed hash
 // table with linear probing and backward-shift deletion, replacing a Go
 // map on the hottest simulator path (every lookup, insert and targeted
-// flush probes it). Capacity is four times the entry count rounded up to
-// a power of two: at load factor ≤ 1/4 probe chains are nearly always a
-// single cell, which keeps both get and the backward-shift in del short,
-// and even the main TLB's table is only a few kilobytes. Purely an
-// internal layout change: the differential tests against the reference
-// linear TLB pin that behaviour is unchanged.
+// flush probes it). Each cell maps a key to the head of its key chain:
+// the lowest slot holding an entry with that key (TLB.keyNext links the
+// rest in ascending slot order). Capacity is four times the entry count
+// rounded up to a power of two: at load factor ≤ 1/4 probe chains are
+// nearly always a single cell, which keeps both get and the
+// backward-shift in delAt short, and even the main TLB's table is only a
+// few kilobytes. Purely an internal layout change: the differential
+// tests against the reference linear TLB pin that behaviour is
+// unchanged.
 
 package tlb
 
-// idxEmpty marks a free index cell. Real keys are entryKey values — a
-// 20-bit VPN shifted left once — so they can never collide with it.
-const idxEmpty = ^uint32(0)
+// idxEmpty marks a free index cell. Real keys are entryKey values, whose
+// low bit is always set, so they can never collide with it — and a
+// flush empties the table with a single clear of the key array.
+const idxEmpty uint32 = 0
 
 type idxTable struct {
 	keys  []uint32
@@ -25,15 +29,11 @@ func newIdxTable(entries int) idxTable {
 	for capacity < 4*entries {
 		capacity <<= 1
 	}
-	it := idxTable{
+	return idxTable{
 		keys:  make([]uint32, capacity),
 		slots: make([]int32, capacity),
 		mask:  uint32(capacity - 1),
 	}
-	for i := range it.keys {
-		it.keys[i] = idxEmpty
-	}
-	return it
 }
 
 // hash spreads the key with a Fibonacci multiplier; the xor-fold keeps
@@ -43,49 +43,30 @@ func (it *idxTable) hash(k uint32) uint32 {
 	return (h ^ h>>16) & it.mask
 }
 
-func (it *idxTable) get(k uint32) (int32, bool) {
+// find returns the cell holding k, or the empty cell ending k's probe
+// sequence when k is absent.
+func (it *idxTable) find(k uint32) uint32 {
 	i := it.hash(k)
 	for {
-		kk := it.keys[i]
-		if kk == k {
-			return it.slots[i], true
-		}
-		if kk == idxEmpty {
-			return 0, false
+		if kk := it.keys[i]; kk == k || kk == idxEmpty {
+			return i
 		}
 		i = (i + 1) & it.mask
 	}
 }
 
-// set inserts k or overwrites its value. The caller keeps at most one
-// live key per TLB entry, so the half-empty table always has room.
-func (it *idxTable) set(k uint32, v int32) {
-	i := it.hash(k)
-	for {
-		kk := it.keys[i]
-		if kk == k || kk == idxEmpty {
-			it.keys[i] = k
-			it.slots[i] = v
-			return
-		}
-		i = (i + 1) & it.mask
+// get returns the head slot of k's chain, or -1 when no entry holds k.
+func (it *idxTable) get(k uint32) int32 {
+	if i := it.find(k); it.keys[i] == k {
+		return it.slots[i]
 	}
+	return -1
 }
 
-// del removes k, if present, with backward-shift deletion: later entries
-// of the probe chain slide back so lookups never need tombstones.
-func (it *idxTable) del(k uint32) {
-	i := it.hash(k)
-	for {
-		kk := it.keys[i]
-		if kk == idxEmpty {
-			return
-		}
-		if kk == k {
-			break
-		}
-		i = (i + 1) & it.mask
-	}
+// delAt empties the occupied cell i with backward-shift deletion: later
+// entries of the probe chain slide back so lookups never need
+// tombstones.
+func (it *idxTable) delAt(i uint32) {
 	j := i
 	for {
 		it.keys[i] = idxEmpty
@@ -115,11 +96,8 @@ func (it *idxTable) del(k uint32) {
 	}
 }
 
-func (it *idxTable) clear() {
-	for i := range it.keys {
-		it.keys[i] = idxEmpty
-	}
-}
+// clear empties the table. Slot values of empty cells are never read.
+func (it *idxTable) clear() { clear(it.keys) }
 
 // clone returns an independent copy, for checkpoint forks.
 func (it *idxTable) clone() idxTable {

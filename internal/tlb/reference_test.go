@@ -5,9 +5,9 @@ import "repro/internal/arch"
 // linearTLB is the reference implementation: the original fully linear
 // scan code, kept verbatim (minus the event bus) as the behavioural
 // ground truth for the indexed fast paths in TLB. The differential
-// property test (differential_test.go) drives both implementations
-// through identical operation sequences and requires identical results,
-// entry states, and counters.
+// property tests (differential_test.go) drive both implementations
+// through identical operation sequences and require identical results,
+// slots, entry states, and counters.
 //
 // Do not optimize this type: its entire value is that it is the obvious,
 // slow, order-defining implementation.
@@ -40,7 +40,7 @@ func refMatch(e *Entry, vpn uint32, asid arch.ASID, largeMask uint32) bool {
 	return evpn == qvpn && (e.global || e.asid == asid)
 }
 
-func (t *linearTLB) Lookup(va arch.VirtAddr, asid arch.ASID, dacr arch.DACR, kind arch.AccessKind) (Entry, Result) {
+func (t *linearTLB) Lookup(va arch.VirtAddr, asid arch.ASID, dacr arch.DACR, kind arch.AccessKind) (Entry, int32, Result) {
 	t.clock++
 	vpn := arch.VPN(va)
 	for i := range t.entries {
@@ -54,26 +54,26 @@ func (t *linearTLB) Lookup(va arch.VirtAddr, asid arch.ASID, dacr arch.DACR, kin
 				continue // hardware requires a domain match for a hit
 			}
 			t.stats.DomainFaults++
-			return *e, DomainFault
+			return *e, int32(i), DomainFault
 		case arch.DomainManager:
 			e.lastUse = t.clock
 			t.stats.Hits++
-			return *e, Hit
+			return *e, int32(i), Hit
 		default: // client: check PTE permission bits
 			if !e.permit(kind) {
 				t.stats.PermFaults++
-				return *e, PermFault
+				return *e, int32(i), PermFault
 			}
 			e.lastUse = t.clock
 			t.stats.Hits++
-			return *e, Hit
+			return *e, int32(i), Hit
 		}
 	}
 	t.stats.Misses++
-	return Entry{}, Miss
+	return Entry{}, -1, Miss
 }
 
-func (t *linearTLB) Insert(va arch.VirtAddr, asid arch.ASID, frame arch.FrameNum, flags arch.PTEFlags, domain uint8) {
+func (t *linearTLB) Insert(va arch.VirtAddr, asid arch.ASID, frame arch.FrameNum, flags arch.PTEFlags, domain uint8) int32 {
 	t.clock++
 	vpn := arch.VPN(va)
 	newGlobal := flags&arch.PTEGlobal != 0
@@ -122,6 +122,7 @@ func (t *linearTLB) Insert(va arch.VirtAddr, asid arch.ASID, frame arch.FrameNum
 		lastUse: t.clock,
 	}
 	t.stats.Insertions++
+	return int32(victim)
 }
 
 func (t *linearTLB) flushed(n int) {
@@ -178,12 +179,18 @@ func (t *linearTLB) FlushGlobal() int {
 	return n
 }
 
+// FlushVA removes every entry translating va: a 4KB entry whose VPN is
+// VPN(va), or a large entry whose (masked) VPN is that of va's block.
 func (t *linearTLB) FlushVA(va arch.VirtAddr) int {
 	vpn := arch.VPN(va)
 	n := 0
 	for i := range t.entries {
 		e := &t.entries[i]
-		if e.valid && e.vpn == vpn {
+		evpn := vpn
+		if e.large {
+			evpn &^= t.largeMask
+		}
+		if e.valid && e.vpn == evpn {
 			*e = Entry{}
 			n++
 		}

@@ -42,37 +42,11 @@ func (t *TLB) Peek(va arch.VirtAddr, asid arch.ASID, dacr arch.DACR, kind arch.A
 		}
 	}
 
-	s0, ok0 := t.idx.get(entryKey(vpn, false))
-	if t.numLarge == 0 {
-		if s0 == idxMany {
-			return t.peekScan(vpn, asid, dacr, kind)
-		}
-		if ok0 {
-			if r, done := t.peekProbe(s0, vpn, asid, dacr, kind); done {
-				return t.entries[s0], s0, r
-			}
-		}
-		return Entry{}, -1, Miss
-	}
-	s1, ok1 := t.idx.get(entryKey(vpn&^t.largeMask, true))
-	if s0 == idxMany || s1 == idxMany {
-		return t.peekScan(vpn, asid, dacr, kind)
-	}
-	a, b := s0, s1
-	if !ok0 {
-		a, ok0 = s1, ok1
-		ok1 = false
-	} else if ok1 && s1 < s0 {
-		a, b = s1, s0
-	}
-	if ok0 {
-		if r, done := t.peekProbe(a, vpn, asid, dacr, kind); done {
-			return t.entries[a], a, r
-		}
-	}
-	if ok1 {
-		if r, done := t.peekProbe(b, vpn, asid, dacr, kind); done {
-			return t.entries[b], b, r
+	for a, b := t.heads(vpn); a != b; {
+		var s int32
+		s, a, b = t.pop(a, b)
+		if r, done := t.peekProbe(s, vpn, asid, dacr, kind); done {
+			return t.entries[s], s, r
 		}
 	}
 	return Entry{}, -1, Miss
@@ -101,16 +75,6 @@ func (t *TLB) peekProbe(slot int32, vpn uint32, asid arch.ASID, dacr arch.DACR, 
 	}
 }
 
-// peekScan is lookupScan without mutations, for spilled index keys.
-func (t *TLB) peekScan(vpn uint32, asid arch.ASID, dacr arch.DACR, kind arch.AccessKind) (Entry, int32, Result) {
-	for i := range t.entries {
-		if r, done := t.peekProbe(int32(i), vpn, asid, dacr, kind); done {
-			return t.entries[i], int32(i), r
-		}
-	}
-	return Entry{}, -1, Miss
-}
-
 // CommitRunHits applies the bookkeeping of n consecutive scalar Lookup
 // hits on the entry at slot, the last of which queried va under
 // (asid, dacr). The caller must have established — via Peek, and
@@ -129,10 +93,10 @@ func (t *TLB) CommitRunHits(slot int32, n uint64, va arch.VirtAddr, asid arch.AS
 // slot with the same outcome the entry already produced for an earlier
 // page, letting a run advance across page boundaries inside a
 // large-page entry without re-probing. For a 4KB entry this is simply
-// "same page". For a large entry the probe order consults the 4KB key
-// first, so the advance is only safe while no 4KB entry (and no spilled
-// 4KB key) exists for the new page — when one does, the caller must
-// re-Peek, which decides the new page exactly. Domain and permission
+// "same page". For a large entry a 4KB entry for the new page at a lower
+// slot would resolve first, so the advance is only safe while no 4KB
+// entry exists for the new page — when one does, the caller must re-Peek,
+// which decides the new page exactly. Domain and permission
 // outcomes carry over because they depend only on the entry, the DACR,
 // and the access kind, all fixed across a run.
 func (t *TLB) ResolvesVPN(slot int32, vpn uint32, asid arch.ASID) bool {
@@ -143,10 +107,7 @@ func (t *TLB) ResolvesVPN(slot int32, vpn uint32, asid arch.ASID) bool {
 	if !e.large {
 		return true
 	}
-	if _, ok := t.idx.get(entryKey(vpn, false)); ok {
-		return false
-	}
-	return true
+	return t.idx.get(entryKey(vpn, false)) < 0
 }
 
 // LookupRun resolves up to max references at va, va+stride, ... and

@@ -102,14 +102,14 @@ func TestLookupRunMatchesScalarLookups(t *testing.T) {
 					if n == 0 {
 						// First reference does not hit: the scalar path takes
 						// over on both TLBs, counting the miss or fault once.
-						re, rr := ref.Lookup(va, asid, dacr, kind)
-						ge, gr := run.Lookup(va, asid, dacr, kind)
-						if gr != rr || ge != re {
-							t.Fatalf("op %d: fallback Lookup(%#x) = (%+v, %v), scalar (%+v, %v)", op, va, ge, gr, re, rr)
+						re, rs, rr := ref.Lookup(va, asid, dacr, kind)
+						ge, gs, gr := run.Lookup(va, asid, dacr, kind)
+						if gr != rr || ge != re || gs != rs {
+							t.Fatalf("op %d: fallback Lookup(%#x) = (%+v, %d, %v), scalar (%+v, %d, %v)", op, va, ge, gs, gr, re, rs, rr)
 						}
 					} else {
 						for k := 0; k < n; k++ {
-							re, rr := ref.Lookup(va+arch.VirtAddr(k)*stride, asid, dacr, kind)
+							re, _, rr := ref.Lookup(va+arch.VirtAddr(k)*stride, asid, dacr, kind)
 							if rr != Hit {
 								t.Fatalf("op %d: committed iteration %d/%d of run at %#x stride %#x is %v in the scalar TLB", op, k, n, va, stride, rr)
 							}

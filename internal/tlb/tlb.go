@@ -18,22 +18,32 @@
 // Lookup and Insert are the innermost loop of the whole simulator: every
 // simulated instruction probes a micro-TLB and, on a miss, the main TLB.
 // Instead of scanning all entries per probe (the fully associative
-// hardware does that in parallel; software cannot), the TLB keeps an
-// index from the virtual page number to the one slot that can match:
+// hardware does that in parallel; software cannot), the TLB indexes the
+// slots by the only keys that can match a virtual page number:
 //
-//   - idx maps key(vpn, large) to a slot, with a spill sentinel (idxMany)
-//     when several entries share a key; the sentinel falls back to the
-//     reference linear scan, so aliasing cases stay exact.
+//   - idx maps key(vpn, large) to the lowest slot holding that key, and
+//     keyNext links every slot sharing the key in ascending slot order.
+//     A probe walks at most two such chains — the page's 4KB key and,
+//     while large entries are resident, its block's large key — merged by
+//     slot number, which is exactly the reference scan order restricted
+//     to the entries that can match. A page held by many ASIDs costs a
+//     chain step per holder, never a scan of the whole TLB.
 //   - a one-entry MRU register short-circuits repeated probes of the same
 //     page under the same ASID and DACR, the common case for straight-line
 //     code. Any mutation of the entry array invalidates it.
 //   - a free-slot bitmap and a doubly-linked LRU list (exact, since
 //     lastUse values are unique) make Insert's victim choice O(1).
 //
+// FlushAll, run on every context switch, resets only state that is read
+// again: the entries, the index's key array, the bitmap (its phantom
+// bits from a mask computed in New) and the list ends, and an empty TLB
+// skips even that. Chain and LRU links of invalid slots are stale but
+// never read: inserting a slot rewrites them.
+//
 // The indexed paths are behaviourally identical to the reference linear
-// implementation (reference.go) — same results, same entry states, same
-// counters — which the differential property test in
-// differential_test.go enforces over randomized operation sequences.
+// implementation (linearTLB in reference_test.go) — same results, same
+// entry states, same counters — which the differential property tests in
+// differential_test.go enforce over randomized operation sequences.
 package tlb
 
 import (
@@ -119,10 +129,6 @@ type Stats struct {
 	FlushedEntries uint64
 }
 
-// idxMany is the index spill sentinel: more than one entry currently
-// carries the key, so probes for it take the reference linear scan.
-const idxMany int32 = -1
-
 // mruReg is the one-entry most-recently-used register: the slot of the
 // last Hit, valid only for a probe with the identical (vpn, asid, dacr)
 // and DomainMatchInHW setting, and only while the entry array is
@@ -160,13 +166,17 @@ type TLB struct {
 	// Sv39's 2MB megapages).
 	largeMask uint32
 
-	// Indexed fast path; see the package comment. validBits marks valid
-	// slots (phantom bits past len(entries) are permanently set so the
-	// first-free scan never reports them). lruPrev/lruNext thread the
-	// valid slots in recency order: lruHead is the least and lruTail the
-	// most recently used.
+	// Indexed fast path; see the package comment. keyNext links the
+	// valid slots of one index key in ascending order (-1 ends a chain).
+	// validBits marks valid slots; the bits of its last word past
+	// len(entries) (phantom) are permanently set so the first-free scan
+	// never reports them. lruPrev/lruNext thread the valid slots in
+	// recency order: lruHead is the least and lruTail the most recently
+	// used.
 	idx       idxTable
+	keyNext   []int32
 	validBits []uint64
+	phantom   uint64
 	numValid  int
 	// numLarge counts the valid 64KB entries. Most workload phases hold
 	// none, so lookups skip the second (large-key) index probe entirely
@@ -198,18 +208,17 @@ func New(name string, entries, pagesPerLarge int) *TLB {
 		largeMask: uint32(pagesPerLarge - 1),
 		entries:   make([]Entry, entries),
 		idx:       newIdxTable(entries),
+		keyNext:   make([]int32, entries),
 		validBits: make([]uint64, (entries+63)/64),
 		lruPrev:   make([]int32, entries),
 		lruNext:   make([]int32, entries),
 		lruHead:   -1,
 		lruTail:   -1,
 	}
-	for i := entries; i < len(t.validBits)*64; i++ {
-		t.validBits[i>>6] |= 1 << (i & 63)
+	if r := entries & 63; r != 0 {
+		t.phantom = ^uint64(0) << r
 	}
-	for i := range t.lruPrev {
-		t.lruPrev[i], t.lruNext[i] = -1, -1
-	}
+	t.validBits[len(t.validBits)-1] = t.phantom
 	return t
 }
 
@@ -257,10 +266,11 @@ func (t *TLB) flushed(n int) {
 
 // entryKey packs an entry's index key: the stored (pre-masked) VPN and
 // the large-page bit, so 4KB and 64KB entries never collide on a key.
+// The low bit is always set, keeping every key distinct from idxEmpty.
 func entryKey(vpn uint32, large bool) uint32 {
-	k := vpn << 1
+	k := vpn<<2 | 1
 	if large {
-		k |= 1
+		k |= 2
 	}
 	return k
 }
@@ -297,45 +307,79 @@ func (e *Entry) permit(kind arch.AccessKind) bool {
 
 // --- index, bitmap, and LRU-list maintenance --------------------------------
 
-// idxAdd registers the (valid) entry at slot under its key.
+// idxAdd links the (valid) entry at slot into its key chain, keeping the
+// chain in ascending slot order.
 func (t *TLB) idxAdd(slot int32) {
-	if t.entries[slot].large {
+	e := &t.entries[slot]
+	if e.large {
 		t.numLarge++
 	}
-	k := entryKey(t.entries[slot].vpn, t.entries[slot].large)
-	if _, dup := t.idx.get(k); dup {
-		t.idx.set(k, idxMany)
+	k := entryKey(e.vpn, e.large)
+	i := t.idx.find(k)
+	if t.idx.keys[i] == idxEmpty {
+		t.idx.keys[i], t.idx.slots[i] = k, slot
+		t.keyNext[slot] = -1
+		return
+	}
+	if h := t.idx.slots[i]; slot < h {
+		t.idx.slots[i] = slot
+		t.keyNext[slot] = h
+		return
+	}
+	p := t.idx.slots[i]
+	for n := t.keyNext[p]; n >= 0 && n < slot; n = t.keyNext[p] {
+		p = n
+	}
+	t.keyNext[slot] = t.keyNext[p]
+	t.keyNext[p] = slot
+}
+
+// idxRemove unlinks the (still valid) entry at slot from its key chain.
+func (t *TLB) idxRemove(slot int32) {
+	e := &t.entries[slot]
+	if e.large {
+		t.numLarge--
+	}
+	i := t.idx.find(entryKey(e.vpn, e.large))
+	if p := t.idx.slots[i]; p != slot {
+		for t.keyNext[p] != slot {
+			p = t.keyNext[p]
+		}
+		t.keyNext[p] = t.keyNext[slot]
+		return
+	}
+	if n := t.keyNext[slot]; n >= 0 {
+		t.idx.slots[i] = n
 	} else {
-		t.idx.set(k, slot)
+		t.idx.delAt(i)
 	}
 }
 
-// idxRemove unregisters the (still valid) entry at slot. When the key had
-// spilled, the surviving holders are recounted by a scan — rare, and the
-// scan is the reference behaviour anyway.
-func (t *TLB) idxRemove(slot int32) {
-	if t.entries[slot].large {
-		t.numLarge--
+// heads returns the heads of the two key chains that can hold an entry
+// matching vpn: the page's 4KB key and, while any large entry is
+// resident, its block's large key. -1 marks an empty chain; the two
+// heads are equal only when both are -1, since distinct keys never
+// share a slot.
+func (t *TLB) heads(vpn uint32) (small, large int32) {
+	if t.numValid == 0 {
+		return -1, -1 // freshly flushed: no hash probe needed
 	}
-	k := entryKey(t.entries[slot].vpn, t.entries[slot].large)
-	if v, _ := t.idx.get(k); v != idxMany {
-		t.idx.del(k)
-		return
+	small, large = t.idx.get(entryKey(vpn, false)), -1
+	if t.numLarge != 0 {
+		large = t.idx.get(entryKey(vpn&^t.largeMask, true))
 	}
-	survivor, n := int32(0), 0
-	for i := range t.entries {
-		e := &t.entries[i]
-		if int32(i) != slot && e.valid && entryKey(e.vpn, e.large) == k {
-			survivor = int32(i)
-			n++
-		}
+	return small, large
+}
+
+// pop merges two ascending key chains: it returns the lower of the heads
+// a and b (-1 sorts last as a uint32) with both chains advanced past it.
+// Walking `for a != b { s, a, b = t.pop(a, b) }` visits every slot of
+// both chains in ascending slot order: the reference scan order.
+func (t *TLB) pop(a, b int32) (s, na, nb int32) {
+	if uint32(a) < uint32(b) {
+		return a, t.keyNext[a], b
 	}
-	switch n {
-	case 0:
-		t.idx.del(k)
-	case 1:
-		t.idx.set(k, survivor)
-	}
+	return b, a, t.keyNext[b]
 }
 
 func (t *TLB) setValid(slot int32) {
@@ -383,7 +427,6 @@ func (t *TLB) lruRemove(s int32) {
 	} else {
 		t.lruTail = p
 	}
-	t.lruPrev[s], t.lruNext[s] = -1, -1
 }
 
 func (t *TLB) lruMoveBack(s int32) {
@@ -441,24 +484,12 @@ func (t *TLB) probe(slot int32, vpn uint32, asid arch.ASID, dacr arch.DACR, kind
 	}
 }
 
-// lookupScan is the reference linear probe order: every slot, ascending.
-// It is the exact fallback for index spills, and what the fast paths must
-// be equivalent to.
-func (t *TLB) lookupScan(vpn uint32, asid arch.ASID, dacr arch.DACR, kind arch.AccessKind) (Entry, Result) {
-	for i := range t.entries {
-		if e, r, done := t.probe(int32(i), vpn, asid, dacr, kind); done {
-			return e, r
-		}
-	}
-	t.stats.Misses++
-	return Entry{}, Miss
-}
-
-// Lookup searches for a translation of va under the current ASID and DACR.
-// On a Hit the matching entry is returned and its LRU state refreshed. A
-// DomainFault or PermFault also returns the matching entry, so the
-// exception handler can inspect it.
-func (t *TLB) Lookup(va arch.VirtAddr, asid arch.ASID, dacr arch.DACR, kind arch.AccessKind) (Entry, Result) {
+// Lookup searches for a translation of va under the current ASID and DACR
+// and returns the slot it resolved at (-1 on a Miss). On a Hit the
+// matching entry is returned and its LRU state refreshed. A DomainFault
+// or PermFault also returns the matching entry, so the exception handler
+// can inspect it.
+func (t *TLB) Lookup(va arch.VirtAddr, asid arch.ASID, dacr arch.DACR, kind arch.AccessKind) (Entry, int32, Result) {
 	t.clock++
 	vpn := arch.VPN(va)
 
@@ -471,97 +502,44 @@ func (t *TLB) Lookup(va arch.VirtAddr, asid arch.ASID, dacr arch.DACR, kind arch
 		e := &t.entries[slot]
 		if acc := dacr.Access(e.domain); acc != arch.DomainNoAccess {
 			if acc == arch.DomainManager || e.permit(kind) {
-				return t.hitAt(slot, vpn, asid, dacr), Hit
+				return t.hitAt(slot, vpn, asid, dacr), slot, Hit
 			}
 			t.stats.PermFaults++
-			return *e, PermFault
+			return *e, slot, PermFault
 		}
 	}
 
-	// Index probe: at most one 4KB and one 64KB entry can match; check
-	// them in slot order. A spilled key falls back to the linear scan.
-	// With no large entries resident — most workload phases — the single
-	// 4KB key decides the lookup with no slot ordering to reconcile.
-	s0, ok0 := t.idx.get(entryKey(vpn, false))
-	if t.numLarge == 0 {
-		if s0 == idxMany {
-			return t.lookupScan(vpn, asid, dacr, kind)
-		}
-		if ok0 {
-			if e, r, done := t.probe(s0, vpn, asid, dacr, kind); done {
-				return e, r
-			}
-		}
-		t.stats.Misses++
-		return Entry{}, Miss
-	}
-	s1, ok1 := t.idx.get(entryKey(vpn&^t.largeMask, true))
-	if s0 == idxMany || s1 == idxMany {
-		return t.lookupScan(vpn, asid, dacr, kind)
-	}
-	a, b := s0, s1
-	if !ok0 {
-		a, ok0 = s1, ok1
-		ok1 = false
-	} else if ok1 && s1 < s0 {
-		a, b = s1, s0
-	}
-	if ok0 {
-		if e, r, done := t.probe(a, vpn, asid, dacr, kind); done {
-			return e, r
-		}
-	}
-	if ok1 {
-		if e, r, done := t.probe(b, vpn, asid, dacr, kind); done {
-			return e, r
+	// Index probe: only the entries on the page's two key chains can
+	// match; visit them in slot order.
+	for a, b := t.heads(vpn); a != b; {
+		var s int32
+		s, a, b = t.pop(a, b)
+		if e, r, done := t.probe(s, vpn, asid, dacr, kind); done {
+			return e, s, r
 		}
 	}
 	t.stats.Misses++
-	return Entry{}, Miss
+	return Entry{}, -1, Miss
 }
 
 // findMatch returns the first slot (in slot order) whose entry matches
 // (vpn, asid) and — under hardware domain matching — has the same global
 // kind, or -1. This is Insert's overwrite target.
 func (t *TLB) findMatch(vpn uint32, asid arch.ASID, newGlobal bool) int32 {
-	s0, ok0 := t.idx.get(entryKey(vpn, false))
-	var s1 int32
-	var ok1 bool
-	if t.numLarge != 0 {
-		s1, ok1 = t.idx.get(entryKey(vpn&^t.largeMask, true))
-	}
-	if s0 == idxMany || s1 == idxMany {
-		for i := range t.entries {
-			e := &t.entries[i]
-			if e.match(vpn, asid, t.largeMask) && !(t.DomainMatchInHW && e.global != newGlobal) {
-				return int32(i)
-			}
-		}
-		return -1
-	}
-	a, b := s0, s1
-	if !ok0 {
-		a, ok0 = s1, ok1
-		ok1 = false
-	} else if ok1 && s1 < s0 {
-		a, b = s1, s0
-	}
-	if ok0 {
-		if e := &t.entries[a]; e.match(vpn, asid, t.largeMask) && !(t.DomainMatchInHW && e.global != newGlobal) {
-			return a
-		}
-	}
-	if ok1 {
-		if e := &t.entries[b]; e.match(vpn, asid, t.largeMask) && !(t.DomainMatchInHW && e.global != newGlobal) {
-			return b
+	for a, b := t.heads(vpn); a != b; {
+		var s int32
+		s, a, b = t.pop(a, b)
+		if e := &t.entries[s]; e.match(vpn, asid, t.largeMask) && !(t.DomainMatchInHW && e.global != newGlobal) {
+			return s
 		}
 	}
 	return -1
 }
 
-// Insert loads a translation, evicting the LRU entry when full. If an
-// entry already translates (vpn, asid/global) it is overwritten in place.
-func (t *TLB) Insert(va arch.VirtAddr, asid arch.ASID, frame arch.FrameNum, flags arch.PTEFlags, domain uint8) {
+// Insert loads a translation, evicting the LRU entry when full, and
+// returns the slot it filled. If an entry already translates
+// (vpn, asid/global) it is overwritten in place.
+func (t *TLB) Insert(va arch.VirtAddr, asid arch.ASID, frame arch.FrameNum, flags arch.PTEFlags, domain uint8) int32 {
 	t.clock++
 	t.mru.ok = false
 	vpn := arch.VPN(va)
@@ -631,29 +609,25 @@ func (t *TLB) Insert(va arch.VirtAddr, asid arch.ASID, frame arch.FrameNum, flag
 			Value:  uint64(asid),
 		})
 	}
+	return victim
 }
 
 // FlushAll invalidates every entry.
+// An empty TLB is already in its reset state (removing the last entry
+// leaves every derived structure empty), so flushing one costs only the
+// counters: the data micro-TLB of a fetch-only context switch.
 func (t *TLB) FlushAll() {
 	t.mru.ok = false
 	n := t.numValid
-	for i := range t.entries {
-		t.entries[i] = Entry{}
+	if n != 0 {
+		clear(t.entries)
+		t.idx.clear()
+		t.numLarge = 0
+		clear(t.validBits)
+		t.validBits[len(t.validBits)-1] = t.phantom
+		t.numValid = 0
+		t.lruHead, t.lruTail = -1, -1
 	}
-	t.idx.clear()
-	t.numLarge = 0
-	size := len(t.entries)
-	for i := range t.validBits {
-		t.validBits[i] = 0
-	}
-	for i := size; i < len(t.validBits)*64; i++ {
-		t.validBits[i>>6] |= 1 << (i & 63)
-	}
-	t.numValid = 0
-	for i := range t.lruPrev {
-		t.lruPrev[i], t.lruNext[i] = -1, -1
-	}
-	t.lruHead, t.lruTail = -1, -1
 	t.flushed(n)
 }
 
@@ -713,38 +687,25 @@ func (t *TLB) FlushGlobal() int {
 	return n
 }
 
-// FlushVA invalidates every entry matching the given virtual address,
-// regardless of ASID or global bit. The domain-fault handler uses this to
-// evict the global entries a non-zygote process tripped over. The index
-// resolves the (at most two, bar spills) slots directly: an entry is
-// affected exactly when its stored VPN equals VPN(va).
+// FlushVA invalidates every entry translating the given virtual address,
+// regardless of ASID or global bit: a 4KB entry for its page and a large
+// entry for its block. The domain-fault handler uses this to evict the
+// global entries a non-zygote process tripped over. Those entries are
+// exactly the two key chains of the page; each removal takes its
+// chain's head.
 func (t *TLB) FlushVA(va arch.VirtAddr) int {
 	t.mru.ok = false
-	vpn := arch.VPN(va)
-	s0, ok0 := t.idx.get(entryKey(vpn, false))
-	var s1 int32
-	var ok1 bool
-	if t.numLarge != 0 {
-		s1, ok1 = t.idx.get(entryKey(vpn, true))
-	}
+	a, b := t.heads(arch.VPN(va))
 	n := 0
-	if s0 == idxMany || s1 == idxMany {
-		for i := range t.entries {
-			e := &t.entries[i]
-			if e.valid && e.vpn == vpn {
-				t.removeEntry(int32(i))
-				n++
-			}
-		}
-	} else {
-		if ok0 {
-			t.removeEntry(s0)
-			n++
-		}
-		if ok1 {
-			t.removeEntry(s1)
-			n++
-		}
+	for ; a >= 0; n++ {
+		next := t.keyNext[a]
+		t.removeEntry(a)
+		a = next
+	}
+	for ; b >= 0; n++ {
+		next := t.keyNext[b]
+		t.removeEntry(b)
+		b = next
 	}
 	t.flushed(n)
 	return n
