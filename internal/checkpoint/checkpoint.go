@@ -22,15 +22,10 @@ package checkpoint
 
 import (
 	"fmt"
-	"sort"
-	"strings"
 	"sync"
 
 	"repro/internal/android"
-	"repro/internal/arch"
 	"repro/internal/core"
-	"repro/internal/mem"
-	"repro/internal/obs"
 	"repro/internal/workload"
 )
 
@@ -219,103 +214,4 @@ func Key(cfg core.Config, layout android.Layout, u *workload.Universe, opts andr
 		opts.Arch = "armv7"
 	}
 	return fmt.Sprintf("cfg=%+v layout=%d universe=%s opts=%+v", cfg, layout, u.ContentHash(), opts)
-}
-
-// Fingerprint renders the image's complete observable state as a string:
-// kernel and allocator counters, sharing stats, every process's regions,
-// page tables and context, every page-cache file, and every core's TLB,
-// cache and cycle state. Two fingerprints are equal iff the machines are
-// observably identical; the aliasing-hazard tests take one before and
-// after mutating a fork to prove the image never changes.
-func (img *Image) Fingerprint() string {
-	sys := img.proto
-	k := sys.Kernel
-	var b strings.Builder
-
-	fmt.Fprintf(&b, "counters=%+v\n", k.Counters)
-	ps := k.Phys.Stats()
-	fmt.Fprintf(&b, "phys alloc=%d freed=%d inuse=%d kinds=", ps.Allocated, ps.Freed, ps.InUse)
-	kinds := make([]int, 0, len(ps.ByKind))
-	for kind := range ps.ByKind {
-		kinds = append(kinds, int(kind))
-	}
-	sort.Ints(kinds)
-	for _, kind := range kinds {
-		fmt.Fprintf(&b, "%d:%d,", kind, ps.ByKind[mem.FrameKind(kind)])
-	}
-	fmt.Fprintf(&b, "\nsharing=%+v\n", k.SharingStats())
-
-	for _, p := range k.Processes() {
-		fmt.Fprintf(&b, "proc %d %q zygote=%v child=%v alive=%v forkstats=%+v ptescopied=%d\n",
-			p.PID, p.Name, p.IsZygote, p.IsZygoteChild, p.Alive(), p.ForkStats, p.PTEsCopied)
-		fmt.Fprintf(&b, "  ctx asid=%d dacr=%#x stats=%+v\n", p.Ctx.ASID, p.Ctx.DACR, p.Ctx.Stats)
-		fmt.Fprintf(&b, "  mm counters=%+v ptstats=%+v\n", p.MM.Counters, p.MM.PT.Stats())
-		for _, v := range p.MM.VMAs() {
-			name := ""
-			if v.File != nil {
-				name = v.File.Name
-			}
-			fmt.Fprintf(&b, "  vma %#x-%#x prot=%v flags=%d file=%q off=%d name=%q cat=%d\n",
-				v.Start, v.End, v.Prot, v.Flags, name, v.FileOff, v.Name, v.Category)
-		}
-		for idx := 0; idx < p.MM.PT.NumSlots(); idx++ {
-			e := p.MM.PT.Slot(idx)
-			if !e.Valid() {
-				continue
-			}
-			fmt.Fprintf(&b, "  l1[%d] frame=%d domain=%d needcopy=%v pop=%d:",
-				idx, e.Table.Frame, e.Domain, e.NeedCopy, e.Table.Populated())
-			for i := 0; i < e.Table.Len(); i++ {
-				if pte := e.Table.PTE(i); pte.Valid() {
-					fmt.Fprintf(&b, " %d=%d/%d/%d", i, pte.Frame, pte.Flags, pte.Soft)
-				}
-			}
-			b.WriteByte('\n')
-		}
-	}
-
-	for _, f := range sys.Files() {
-		if f == nil {
-			continue
-		}
-		fmt.Fprintf(&b, "file %q size=%d resident=%d:", f.Name, f.Size, f.ResidentPages())
-		f.ForEachPage(func(idx int, frame arch.FrameNum) {
-			fmt.Fprintf(&b, " %d=%d", idx, frame)
-		})
-		b.WriteByte('\n')
-	}
-
-	for i := 0; i < k.NumCPUs(); i++ {
-		c := k.CPUAt(i)
-		iv, ig := c.MicroI.Occupancy()
-		dv, dg := c.MicroD.Occupancy()
-		mv, mg := c.Main.Occupancy()
-		fmt.Fprintf(&b, "cpu%d now=%d micro-i=%d/%d micro-d=%d/%d main=%d/%d l1i=%d l1d=%d\n",
-			i, c.Now(), iv, ig, dv, dg, mv, mg,
-			c.Caches.L1I.Occupancy(), c.Caches.L1D.Occupancy())
-	}
-	fmt.Fprintf(&b, "l2=%d\n", k.CPUAt(0).Caches.L2.Occupancy())
-
-	reg := obs.NewRegistry()
-	reg.MustRegister(k.Sources()...)
-	snap := reg.Snapshot()
-	names := make([]string, 0, len(snap))
-	for name := range snap {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		m := snap[name]
-		keys := make([]string, 0, len(m))
-		for key := range m {
-			keys = append(keys, key)
-		}
-		sort.Strings(keys)
-		fmt.Fprintf(&b, "src %s:", name)
-		for _, key := range keys {
-			fmt.Fprintf(&b, " %s=%d", key, m[key])
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
 }

@@ -7,6 +7,7 @@
 package checkpoint
 
 import (
+	"sync"
 	"testing"
 
 	"repro/internal/android"
@@ -103,6 +104,48 @@ func TestMutatedForkLeavesImageUnchanged(t *testing.T) {
 				t.Error("fork minted after mutations differs from the captured state")
 			}
 		})
+	}
+}
+
+// TestConcurrentForks forks one image from several goroutines at once,
+// as parallel sweep workers do, and runs an app on every fork. Under
+// -race it pins that Fork only reads the image's shared state; in any
+// mode every fork must start from, and leave behind, the captured state.
+func TestConcurrentForks(t *testing.T) {
+	img := Capture(bootSys(t, android.Options{}))
+	before := img.Fingerprint()
+	const n = 8
+	fps := make([]string, n)
+	errs := make([]error, n)
+	start := make(chan struct{})
+	var forked, wg sync.WaitGroup
+	forked.Add(n)
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			sys := img.Fork()
+			// Hold every fork back until all are minted, so the Fork
+			// calls overlap instead of one goroutine finishing first.
+			forked.Done()
+			forked.Wait()
+			fps[i] = fingerprintOf(sys)
+			errs[i] = warmApp(sys)
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for i := 0; i < n; i++ {
+		if errs[i] != nil {
+			t.Fatalf("fork %d: %v", i, errs[i])
+		}
+		if fps[i] != before {
+			t.Errorf("fork %d differs from the captured state", i)
+		}
+	}
+	if img.Fingerprint() != before {
+		t.Error("concurrent forks changed the image")
 	}
 }
 

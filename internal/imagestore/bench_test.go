@@ -1,6 +1,6 @@
 // BenchmarkImageLoad vs BenchmarkImageBoot is the store's reason to
-// exist: admitting a stored image (mmap + checksum + JSON metadata +
-// in-place casts + fingerprint verification) versus simulating the boot
+// exist: admitting a stored image (mmap + checksum + gob metadata +
+// in-place casts + streamed fingerprint verification) versus simulating the boot
 // it replaces. BENCH_imagestore.json cites both.
 
 package imagestore

@@ -1,7 +1,8 @@
 package imagestore
 
 import (
-	"encoding/json"
+	"bytes"
+	"encoding/gob"
 	"fmt"
 
 	"repro/internal/android"
@@ -36,6 +37,16 @@ func validCacheConfig(c cache.Config) error {
 	return nil
 }
 
+// decodeMeta decodes the META section of a file whose header parsed
+// into dir.
+func decodeMeta(data []byte, dir [numSections]sectionRange) (*metaDoc, error) {
+	var meta metaDoc
+	if err := gob.NewDecoder(bytes.NewReader(section(data, dir[secMeta]))).Decode(&meta); err != nil {
+		return nil, fmt.Errorf("imagestore: decoding metadata: %w", err)
+	}
+	return &meta, nil
+}
+
 // decodeImage reconstructs the stored machine from one image file's
 // bytes, verifying structure at every step and finally the stored
 // fingerprint against the rebuilt machine. The big arrays of the result
@@ -46,9 +57,9 @@ func decodeImage(data []byte, u *workload.Universe) (*checkpoint.Image, string, 
 	if err != nil {
 		return nil, "", err
 	}
-	var meta metaDoc
-	if err := json.Unmarshal(section(data, dir[secMeta]), &meta); err != nil {
-		return nil, "", fmt.Errorf("imagestore: decoding metadata: %w", err)
+	meta, err := decodeMeta(data, dir)
+	if err != nil {
+		return nil, "", err
 	}
 	snap := &meta.System
 	m, ok := arch.Lookup(snap.Kernel.Arch)
@@ -161,7 +172,7 @@ func decodeImage(data []byte, u *workload.Universe) (*checkpoint.Image, string, 
 		return nil, "", err
 	}
 	img := checkpoint.Adopt(sys)
-	if got := fingerprintDigest(img.Fingerprint()); got != meta.FingerprintSHA {
+	if got := fingerprintDigest(img); got != meta.FingerprintSHA {
 		return nil, "", fmt.Errorf("imagestore: fingerprint mismatch: restored machine differs from the captured one")
 	}
 	return img, meta.Key, nil

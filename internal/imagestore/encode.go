@@ -1,10 +1,11 @@
 package imagestore
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
+	"encoding/gob"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"hash/crc32"
 
@@ -23,13 +24,15 @@ type fileRange struct {
 	Off, N int
 }
 
-// metaDoc is the JSON document of the META section: the full cache key
+// metaDoc is the gob document of the META section: the full cache key
 // (collision guard for the hashed file name), a digest of the image
-// fingerprint the loader verifies before admission (the full text runs
-// to megabytes; the loader re-renders it from the restored machine and
-// compares digests), the machine snapshot with its bulky arrays
-// stripped into the binary sections, and the placement records needed
-// to stitch them back.
+// fingerprint the loader verifies before admission (the text runs to
+// hundreds of kilobytes; the loader re-renders it from the restored
+// machine straight into the hash and compares digests), the machine
+// snapshot with its bulky arrays stripped into the binary sections, and
+// the placement records needed to stitch them back. gob does not keep
+// nil-versus-empty apart (empty slices decode as nil) and flattens
+// pointers; nothing in the snapshot depends on either distinction.
 type metaDoc struct {
 	Key            string
 	FingerprintSHA string
@@ -38,10 +41,12 @@ type metaDoc struct {
 	System         android.SystemSnapshot
 }
 
-// fingerprintDigest is the stored form of a machine fingerprint.
-func fingerprintDigest(fp string) string {
-	sum := sha256.Sum256([]byte(fp))
-	return hex.EncodeToString(sum[:])
+// fingerprintDigest is the stored form of an image's fingerprint: the
+// hex SHA-256 of its text, rendered straight into the hash.
+func fingerprintDigest(img *checkpoint.Image) string {
+	h := sha256.New()
+	_ = img.WriteFingerprint(h) // hash writes never fail
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // cacheSnapshots lists the machine's cache levels in the fixed section
@@ -66,7 +71,7 @@ func encodeImage(key string, img *checkpoint.Image) ([]byte, error) {
 	}
 	stride := m.Geometry().LeafEntries
 
-	meta := metaDoc{Key: key, FingerprintSHA: fingerprintDigest(img.Fingerprint())}
+	meta := metaDoc{Key: key, FingerprintSHA: fingerprintDigest(img)}
 
 	// Strip the bulky arrays out of the snapshot into flat sections; the
 	// remaining snapshot is the META document.
@@ -112,13 +117,13 @@ func encodeImage(key string, img *checkpoint.Image) ([]byte, error) {
 	}
 
 	meta.System = snap
-	metaJSON, err := json.Marshal(&meta)
-	if err != nil {
+	var metaBuf bytes.Buffer
+	if err := gob.NewEncoder(&metaBuf).Encode(&meta); err != nil {
 		return nil, fmt.Errorf("imagestore: encoding metadata: %w", err)
 	}
 
 	sections := [numSections][]byte{
-		secMeta:      metaJSON,
+		secMeta:      metaBuf.Bytes(),
 		secFrames:    bytesOf(frames),
 		secFreeList:  bytesOf(freeList),
 		secPTEs:      bytesOf(ptes),

@@ -4,7 +4,7 @@
 // line/recency arrays — is stored as flat binary images of the
 // in-memory structs, so a load is a handful of bounds checks plus
 // in-place slice casts over the mapped file; everything small (the
-// snapshot scalars, region lists, TLB entries) travels as one JSON
+// snapshot scalars, region lists, TLB entries) travels as one gob
 // document in the META section.
 //
 //	[0:8]   magic "SATIMG01"
@@ -43,7 +43,7 @@ import (
 
 // FormatVersion is the on-disk format generation. Bump it on any
 // incompatible change; stored images of other versions are discarded.
-const FormatVersion = 1
+const FormatVersion = 2
 
 const magic = "SATIMG01"
 
@@ -51,7 +51,7 @@ const endianTag uint32 = 0x01020304
 
 // Section indices. Order is fixed; the directory is indexed by these.
 const (
-	secMeta      = iota // JSON metaDoc
+	secMeta      = iota // gob-encoded metaDoc
 	secFrames           // []mem.Frame, the whole physical frame table
 	secFreeList         // []arch.FrameNum, allocator free list (LIFO order)
 	secPTEs             // []pagetable.PTE, all leaf tables at LeafEntries stride

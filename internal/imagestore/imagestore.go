@@ -5,7 +5,7 @@
 // proto image, but every fresh process pays the boot again. This store
 // writes the proto image to disk once — content-addressed by the same
 // canonical key checkpoint.Cache uses — and later processes admit it
-// with a memory-mapped load: a checksum pass, a JSON decode of the small
+// with a memory-mapped load: a checksum pass, a gob decode of the small
 // state, and in-place slice casts over the mapped file for the bulky
 // arrays (frame table, PTEs, page-cache pages, cache arrays).
 //

@@ -165,8 +165,28 @@ func TestCacheIntegration(t *testing.T) {
 	}
 }
 
+// flipMask is the bit the corruption matrix flips.
+const flipMask = 0x10
+
+// flipOffsets lists the corruption matrix's bit-flip offsets for an
+// n-byte image file: ~64 offsets spread across the whole file, plus the
+// first and last byte of every header field region.
+func flipOffsets(n int) []int {
+	offsets := []int{0, 7, 8, 11, 12, 15, 16, 23, 24, 27, 28, 31, 32, headerSize - 1, n - 1}
+	for off := headerSize; off < n; off += (n-headerSize)/64 + 1 {
+		offsets = append(offsets, off)
+	}
+	return offsets
+}
+
+// truncLengths lists the corruption matrix's truncation lengths for an
+// n-byte image file.
+func truncLengths(n int) []int {
+	return []int{0, 1, headerSize - 1, headerSize, n / 3, n - 1}
+}
+
 // TestCorruptionRejected flips one bit at offsets spread across every
-// region of a stored file — magic, version, checksum, directory, JSON
+// region of a stored file — magic, version, checksum, directory, gob
 // metadata, each binary section — and truncates it at a spread of
 // lengths. Every defect must come back as a clean miss (the loader may
 // never panic or admit a wrong machine), the bad file must be removed,
@@ -201,18 +221,12 @@ func TestCorruptionRejected(t *testing.T) {
 		}
 	}
 
-	// One flipped bit at ~64 offsets spread across the whole file, plus
-	// the first and last byte of every header field region.
-	offsets := []int{0, 7, 8, 11, 12, 15, 16, 23, 24, 27, 28, 31, 32, headerSize - 1, len(good) - 1}
-	for off := headerSize; off < len(good); off += (len(good)-headerSize)/64 + 1 {
-		offsets = append(offsets, off)
-	}
-	for _, off := range offsets {
+	for _, off := range flipOffsets(len(good)) {
 		mutated := append([]byte(nil), good...)
-		mutated[off] ^= 0x10
+		mutated[off] ^= flipMask
 		t.Run("", func(t *testing.T) { check(t, mutated) })
 	}
-	for _, n := range []int{0, 1, headerSize - 1, headerSize, len(good) / 3, len(good) - 1} {
+	for _, n := range truncLengths(len(good)) {
 		t.Run("", func(t *testing.T) { check(t, good[:n:n]) })
 	}
 
@@ -287,7 +301,7 @@ func TestOpenRejectsEmptyDir(t *testing.T) {
 
 // TestParseHeaderZeroAlloc pins the mmap fast path's promise: header
 // validation and section-directory extraction allocate nothing, so a
-// warm load's overhead is the checksum pass plus the JSON metadata.
+// warm load's overhead is the checksum pass plus the gob metadata.
 func TestParseHeaderZeroAlloc(t *testing.T) {
 	img := checkpoint.Capture(bootSys(t, android.Options{}))
 	buf, err := encodeImage(bootKey(android.Options{}), img)

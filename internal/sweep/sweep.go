@@ -14,13 +14,16 @@
 //     random stream depends on scheduling.
 //   - On failure, every scenario still runs and the lowest-index error is
 //     reported, so the error a caller sees does not depend on which
-//     worker lost the race.
+//     worker lost the race. A scenario that panics fails like one that
+//     returns an error: the panic becomes an error naming the scenario.
 package sweep
 
 import (
+	"fmt"
 	"hash/fnv"
 	"math/rand"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 )
@@ -57,11 +60,25 @@ func Workers(n int) int {
 	return runtime.GOMAXPROCS(0)
 }
 
+// runOne executes one scenario on its private PRNG. A panic is
+// recovered into an error that names the scenario and carries the
+// panicking goroutine's stack, so one crashing scenario neither kills
+// the process nor stops the rest of the sweep.
+func runOne[T any](sc Scenario[T]) (res T, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			var zero T
+			res, err = zero, fmt.Errorf("sweep: scenario %q panicked: %v\n%s", sc.Name, r, debug.Stack())
+		}
+	}()
+	return sc.Run(rand.New(rand.NewSource(Seed(sc.Name))))
+}
+
 // Run executes the scenarios on min(workers, len(scenarios)) goroutines
 // and returns their results in input order regardless of completion
-// order. All scenarios run even if one fails (scenario counts are small
-// and failures exceptional); the returned error is the failing scenario's
-// with the lowest index, independent of scheduling.
+// order. All scenarios run even if one fails or panics (scenario counts
+// are small and failures exceptional); the returned error is the failing
+// scenario's with the lowest index, independent of scheduling.
 func Run[T any](workers int, scenarios []Scenario[T]) ([]T, error) {
 	n := len(scenarios)
 	if n == 0 {
@@ -75,7 +92,7 @@ func Run[T any](workers int, scenarios []Scenario[T]) ([]T, error) {
 	errs := make([]error, n)
 	if workers == 1 {
 		for i, sc := range scenarios {
-			results[i], errs[i] = sc.Run(rand.New(rand.NewSource(Seed(sc.Name))))
+			results[i], errs[i] = runOne(sc)
 		}
 	} else {
 		var next atomic.Int64
@@ -89,8 +106,7 @@ func Run[T any](workers int, scenarios []Scenario[T]) ([]T, error) {
 					if i >= n {
 						return
 					}
-					sc := scenarios[i]
-					results[i], errs[i] = sc.Run(rand.New(rand.NewSource(Seed(sc.Name))))
+					results[i], errs[i] = runOne(scenarios[i])
 				}
 			}()
 		}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -140,5 +141,50 @@ func TestRunEmpty(t *testing.T) {
 	got, err := Run[int](4, nil)
 	if err != nil || got != nil {
 		t.Fatalf("Run(nil) = %v, %v", got, err)
+	}
+}
+
+func TestRunContainsPanics(t *testing.T) {
+	errLater := errors.New("later")
+	for _, workers := range []int{1, 4} {
+		var mu sync.Mutex
+		ran := map[string]bool{}
+		mark := func(name string) {
+			mu.Lock()
+			ran[name] = true
+			mu.Unlock()
+		}
+		scenarios := []Scenario[int]{
+			{Name: "ok", Run: func(*rand.Rand) (int, error) { mark("ok"); return 1, nil }},
+			{Name: "crash", Run: func(*rand.Rand) (int, error) {
+				mark("crash")
+				var m map[string]int
+				m["x"] = 1 // nil-map write: a runtime panic
+				return 0, nil
+			}},
+			{Name: "fails", Run: func(*rand.Rand) (int, error) { mark("fails"); return 0, errLater }},
+			{Name: "tail", Run: func(*rand.Rand) (int, error) { mark("tail"); return 3, nil }},
+		}
+		_, err := Run(workers, scenarios)
+		if err == nil {
+			t.Fatalf("workers=%d: panicking scenario reported no error", workers)
+		}
+		msg := err.Error()
+		if !strings.Contains(msg, `scenario "crash" panicked`) || !strings.Contains(msg, "nil map") {
+			t.Errorf("workers=%d: error does not name the scenario and panic: %v", workers, msg)
+		}
+		if !strings.Contains(msg, "sweep_test.go") {
+			t.Errorf("workers=%d: error carries no stack into the scenario: %v", workers, msg)
+		}
+		if len(ran) != len(scenarios) {
+			t.Errorf("workers=%d: ran %d of %d scenarios after a panic", workers, len(ran), len(scenarios))
+		}
+
+		// The lowest-index rule treats a panic like any other failure: an
+		// earlier returned error wins over a later panic.
+		_, err = Run(workers, []Scenario[int]{scenarios[0], scenarios[2], scenarios[1]})
+		if !errors.Is(err, errLater) {
+			t.Errorf("workers=%d: err = %v, want the lower-index %v", workers, err, errLater)
+		}
 	}
 }
