@@ -20,7 +20,8 @@ func BenchmarkCacheAccess(b *testing.B) {
 	})
 	b.Run("Hit", func(b *testing.B) {
 		c := New(Config{Name: "L1D", Size: 32 << 10, LineSize: 32, Assoc: 4, HitLatency: 1}, nil, 50)
-		// Four resident lines in one set, cycled so the MRU way never hits.
+		// Four resident lines in one set, cycled so no hit is on the most
+		// recent way.
 		setStride := arch.PhysAddr(32 * (32 << 10) / (32 * 4)) // one full set wrap
 		for w := 0; w < 4; w++ {
 			c.Access(0x1000 + arch.PhysAddr(w)*setStride)

@@ -10,6 +10,11 @@
 // with shared page-table pages all processes walk the same physical PTE
 // words and the duplicates disappear. The simulator exposes physical
 // addresses for PTE words precisely so this effect is reproduced.
+//
+// Each level stores one 40-byte Set record per set — the way tags and
+// the set's age-matrix LRU word — so a probe reads one record (one or
+// two host cache lines) and is one scan that stops at the first empty
+// way.
 package cache
 
 import (
@@ -53,102 +58,63 @@ const tagInvalid = ^uint32(0)
 // zero-byte search in the victim pick.
 const colOnes = uint64(0x0101010101010101)
 
-// mruReg is one set's two-entry MRU register: the last two tags that hit
-// or filled, with the ways they reside in. 16 bytes, so both slots load
-// together on the hit path.
-type mruReg struct {
-	tag  uint32
-	tag2 uint32
-	way  int32
-	way2 int32
+// MaxAssoc is the most ways one set record holds: one age-matrix word
+// is an 8x8 bit matrix.
+const MaxAssoc = 8
+
+// Set is one cache set: the tags of its ways and its age matrix in 40
+// contiguous bytes, so a probe reads one record rather than several
+// parallel arrays. Ways past the level's associativity stay empty.
+//
+// Valid ways always form a prefix of Tags: a fill takes the first empty
+// way, and only FlushAll invalidates. A probe therefore stops at the
+// first empty way, which is also the victim when the set is not full.
+//
+// Age is the hardware age-matrix LRU scheme: bit j of byte i means "way
+// i used more recently than way j". Recording a use is two masked bit-ops
+// on one word (set row w, clear column w) with no search, no clock and
+// no stamp array; the LRU way of a full set is the unique way whose row
+// is all zero, found branch-free with the zero-byte trick. The matrix
+// induces exactly the order unique last-use timestamps would, so victim
+// choice is identical to the stamped reference implementation (the
+// differential test pins this). Rows of empty ways and the diagonal stay
+// zero.
+//
+// Stored images cast the set array in place over the mapped file, so the
+// layout is part of the image format (imagestore.layoutHash).
+type Set struct {
+	Tags [MaxAssoc]uint32
+	Age  uint64
 }
 
-// Adaptive MRU promotion. A cycle over three or more tags in one set
-// defeats both register slots, and every access then pays a pointless
-// 16-byte rotate on top of the scan; after mruSkipThreshold consecutive
-// register misses the register is invalidated and probe hits stop
-// rotating into it. Deadness must not be permanent, though: a set whose
-// reference pattern turns register-friendly again (the two-tag
-// alternation of resident kernel text, most importantly) would otherwise
-// scan forever, since only a fill — which resident lines never cause —
-// also revives the register. So a dead register retries promotion every
-// mruRetryPeriod probe hits; one retried rotate re-enters the steady
-// register-hit path within a couple of visits when the pattern fits,
-// and costs one rotate per period when it does not. Register hits and
-// fills reset the streak. The register and the streak counter are pure
-// acceleration state — recency, victims, and counters never depend on
-// them — so none of this changes any observable behaviour.
-const (
-	mruSkipThreshold = 8
-	mruRetryPeriod   = 8
-)
+// emptySet is a set with every way invalid.
+var emptySet = Set{Tags: [MaxAssoc]uint32{
+	tagInvalid, tagInvalid, tagInvalid, tagInvalid,
+	tagInvalid, tagInvalid, tagInvalid, tagInvalid,
+}}
+
+// touch returns age with a use of way w recorded: way w becomes more
+// recent than every other way (set row w), and no way remains more
+// recent than w (clear column w). Setting the row also sets bit [w][w];
+// clearing the column clears it again, keeping the diagonal zero.
+func touch(age uint64, w uint) uint64 {
+	w &= 7 // proves both shifts < 64, so no oversized-shift guards
+	return (age | 0xFF<<(8*w)) &^ (colOnes << w)
+}
 
 // Cache is one level of a physically indexed, physically tagged cache
 // with LRU replacement within each set.
-//
-// Three hot-path refinements over the obvious probe (behaviour-identical,
-// since a tag is resident in at most one way of its set): the last two
-// tags that hit in each set (mru) are compared first — one independent
-// 16-byte load — catching both consecutive same-line references and the
-// two-tags-per-set alternation of sequential kernel-text fetch; a
-// first-slot MRU hit skips the recency update, because that way already
-// holds its set's maximum stamp and re-stamping the maximum cannot
-// change any within-set order; and the probe loop compares tags only —
-// four or eight contiguous words — deferring victim selection (first
-// invalid way, else the LRU way) to a miss.
-//
-// Within-set recency is the hardware age-matrix LRU scheme: one 64-bit
-// word per set holds an 8x8 bit matrix where bit j of byte i means "way
-// i used more recently than way j". Recording a use is two masked
-// bit-ops on one word — set row w, clear column w — with no search, no
-// clock, and no stamp array; the LRU victim is the unique valid way
-// whose row is all zero, found branch-free with the zero-byte trick.
-// The matrix induces exactly the order unique last-use timestamps
-// would (bit[i][j] records every pairwise "later than"), so victim
-// choice is identical to the stamped reference implementation — the
-// differential test pins this — at one word per set instead of a word
-// per way, which keeps the recency state resident in the host cache
-// (a per-way stamp array for the simulated L2 alone is 256KB and
-// measurably thrashes it).
 type Cache struct {
-	cfg Config
-	// tags is the flat backing store: set si occupies
-	// [si*assoc : (si+1)*assoc]. Flat indexing saves the dependent
-	// slice-header load a [][]way layout pays on every access, and
-	// cloning is one flat copy.
-	tags  []uint32
+	cfg   Config
+	sets  []Set
 	assoc int
-	// mru holds each set's two most-recent tags and the ways they live
-	// in. Sequential kernel-text fetch alternates exactly two tags per
-	// set (text twice the L1I's per-way capacity), so a single MRU
-	// register misses every time; the two-entry register catches that
-	// pattern without scanning the set. Unlike a first-slot hit, a
-	// second-slot hit must refresh its way's stamp — hence the way
-	// indices. Invariant: a valid tag in either slot is resident in its
-	// set at the recorded way, so a match is a hit with no probe; the
-	// first slot's way additionally holds the set's maximum stamp, which
-	// is what lets a first-slot hit skip the stamp store entirely.
-	mru []mruReg
-	// age holds each set's LRU age matrix: bit j of byte i set means way
-	// i was used more recently than way j. Rows and columns beyond assoc
-	// stay zero. First-slot MRU hits deliberately skip the update — the
-	// MRU way's row is already full — so the word is only touched when
-	// recency actually changes.
-	age []uint64
-	// skip counts each set's consecutive MRU-register misses, saturating
-	// at mruSkipThreshold, where the register goes dead (see the const).
-	// Not serialized: like the register contents it is transparent
-	// acceleration state, and a restored machine starting from a zero
-	// streak is behaviour-identical to the captured one.
-	skip []uint8
 	// dirty is the fused-run memo bitmap: while runN != 0, a clear bit si
 	// asserts that set si is at the fixed point of the run described by
-	// (runTag0, runN) — re-running its lines would mutate nothing (see
-	// accessRunFused). Every mutation of per-set state funnels through
-	// probe or hit2 (a first-slot register hit touches nothing), each of
-	// which sets the bit; the fused engine re-verifies dirty sets and
-	// clears the bits that check out. Like skip, this is transparent
-	// acceleration state and is not serialized.
+	// (runTag0, runN): re-running its lines would mutate nothing (see
+	// accessRunFused). Every mutation of a set (a fill, or a hit that
+	// changes the age word) sets the bit; the fused engine re-verifies
+	// dirty sets and clears the bits that check out. Transparent
+	// acceleration state: it is not serialized.
 	dirty   []uint64
 	runTag0 uint32
 	runN    uint32
@@ -156,8 +122,8 @@ type Cache struct {
 	// an age word, so the victim search compares ways only against the
 	// ways that exist.
 	colsAll uint64
-	// hitLat duplicates cfg.HitLatency as a flat field so the hit paths
-	// never load through the wide Config struct.
+	// hitLat duplicates cfg.HitLatency as a flat field so the hit path
+	// never loads through the wide Config struct.
 	hitLat     int
 	setShift   uint
 	setMask    uint32
@@ -173,6 +139,17 @@ var _ obs.Source = (*Cache)(nil)
 // New creates a cache level. next is the lower level; when next is nil a
 // miss at this level costs memLatency additional cycles (main memory).
 func New(cfg Config, next *Cache, memLatency int) *Cache {
+	c := newLevel(cfg, next, memLatency)
+	c.sets = make([]Set, c.setMask+1)
+	for i := range c.sets {
+		c.sets[i] = emptySet
+	}
+	return c
+}
+
+// newLevel validates cfg and builds a level without its set array, which
+// New fills empty and Restore adopts from a snapshot.
+func newLevel(cfg Config, next *Cache, memLatency int) *Cache {
 	if cfg.Size <= 0 || cfg.LineSize <= 0 || cfg.Assoc <= 0 {
 		panic(fmt.Sprintf("cache %s: invalid config %+v", cfg.Name, cfg))
 	}
@@ -183,25 +160,12 @@ func New(cfg Config, next *Cache, memLatency int) *Cache {
 	if nSets <= 0 || nSets&(nSets-1) != 0 {
 		panic(fmt.Sprintf("cache %s: set count %d not a positive power of two", cfg.Name, nSets))
 	}
-	tags := make([]uint32, nSets*cfg.Assoc)
-	for i := range tags {
-		tags[i] = tagInvalid
-	}
-	mru := make([]mruReg, nSets)
-	for i := range mru {
-		mru[i].tag = tagInvalid
-		mru[i].tag2 = tagInvalid
-	}
-	if cfg.Assoc > 8 {
-		panic(fmt.Sprintf("cache %s: associativity %d exceeds the 8 ways one age-matrix word holds", cfg.Name, cfg.Assoc))
+	if cfg.Assoc > MaxAssoc {
+		panic(fmt.Sprintf("cache %s: associativity %d exceeds the %d ways one set record holds", cfg.Name, cfg.Assoc, MaxAssoc))
 	}
 	return &Cache{
 		cfg:        cfg,
-		tags:       tags,
 		assoc:      cfg.Assoc,
-		mru:        mru,
-		age:        make([]uint64, nSets),
-		skip:       make([]uint8, nSets),
 		dirty:      make([]uint64, (nSets+63)/64),
 		colsAll:    (uint64(1)<<uint(cfg.Assoc) - 1) * colOnes,
 		hitLat:     cfg.HitLatency,
@@ -241,119 +205,55 @@ func (c *Cache) Reset() { c.ResetStats() }
 
 // Access references the line containing pa, filling it on a miss, and
 // returns the total latency in cycles including any lower-level accesses.
-//
-// Both register-hit paths live in this frame, so the hits that dominate
-// real streams cost exactly one call from the fetch loops; the way scan
-// and the miss path live in probe and fill.
 func (c *Cache) Access(pa arch.PhysAddr) int {
 	c.stats.Accesses++
-	tag := uint32(pa) >> c.setShift
-	si := tag & c.setMask
-	m := &c.mru[si]
-	if m.tag == tag {
-		c.stats.Hits++
-		return c.hitLat
-	}
-	if m.tag2 == tag {
-		return c.hit2(tag, si, m)
-	}
-	return c.probe(pa, tag, si, m)
+	return c.lookup(pa, uint32(pa)>>c.setShift)
 }
 
-// probe scans the ways of set si after both register slots have missed:
-// a hit touches the way's age row and — while the set's register-miss
-// streak is below mruSkipThreshold — rotates the register, a miss falls
-// through to fill. Callers have already counted the access.
-func (c *Cache) probe(pa arch.PhysAddr, tag, si uint32, m *mruReg) int {
-	// Invalidate the fused-run memo for this set. While runN == 0 no memo
-	// exists to protect — the first AccessRun rebuilds the bitmap all-dirty
-	// — so pure-scalar paths skip the bookkeeping entirely.
-	if c.runN != 0 {
-		c.dirty[si>>6] |= 1 << (si & 63)
-	}
-	base := int(si) * c.assoc
-	set := c.tags[base : base+c.assoc]
-	for i, tg := range set {
+// lookup scans the set of tag once, stopping at the tag or at the first
+// empty way: a hit records the use, anything else falls through to fill
+// with the way the scan stopped at. Callers have already counted the
+// access.
+func (c *Cache) lookup(pa arch.PhysAddr, tag uint32) int {
+	si := tag & c.setMask
+	s := &c.sets[si]
+	w := 0
+	for ; w < MaxAssoc; w++ {
+		tg := s.Tags[w]
 		if tg == tag {
-			c.touch(si, uint(i))
 			c.stats.Hits++
-			c.promote(si, tag, int32(i), m)
+			// Store the age word, and invalidate the fused-run memo for
+			// this set, only when the use changes recency: re-using the
+			// set's most recent way mutates nothing. While runN == 0 no
+			// memo exists to protect (the first AccessRun rebuilds the
+			// bitmap all-dirty).
+			if a := touch(s.Age, uint(w)); a != s.Age {
+				s.Age = a
+				if c.runN != 0 {
+					c.dirty[si>>6] |= 1 << (si & 63)
+				}
+			}
 			return c.hitLat
 		}
-	}
-	return c.fill(pa, tag, si, base, set, m)
-}
-
-// promote applies the adaptive MRU-promotion policy to a probe hit:
-// rotate the hit into the register while the set's consecutive
-// register-miss streak is short, invalidate the register when the streak
-// reaches mruSkipThreshold (an access cycle wider than two tags is
-// defeating both slots), skip the rotate while dead, and retry promotion
-// every mruRetryPeriod hits so a pattern that turns register-friendly
-// again recovers the fast paths.
-func (c *Cache) promote(si, tag uint32, way int32, m *mruReg) {
-	s := &c.skip[si]
-	switch {
-	case *s < mruSkipThreshold-1: // live: rotate, lengthen the streak
-		*s++
-		*m = mruReg{tag: tag, way: way, tag2: m.tag, way2: m.way}
-	case *s == mruSkipThreshold-1: // streak reached the threshold: go dead
-		*s++
-		m.tag, m.tag2 = tagInvalid, tagInvalid
-	case *s < mruSkipThreshold+mruRetryPeriod-1: // dead: skip the rotate
-		*s++
-	default: // retry promotion with this hit
-		*s = 0
-		*m = mruReg{tag: tag, way: way, tag2: m.tag, way2: m.way}
-	}
-}
-
-// touch records a use of way w in set si's age matrix: way w becomes
-// more recent than every other way (set row w), and no way remains more
-// recent than w (clear column w). Setting the row also sets bit [w][w];
-// clearing the column clears it again, keeping the diagonal zero.
-func (c *Cache) touch(si uint32, w uint) {
-	w &= 7 // proves both shifts < 64, so no oversized-shift guards
-	a := &c.age[si]
-	*a = (*a | 0xFF<<(8*w)) &^ (colOnes << w)
-}
-
-// hit2 completes a second-slot MRU hit: the resident way is known, so
-// this is a probe hit minus the scan. It is small enough to inline into
-// AccessRun's per-line loop, which matters because two-tag alternation
-// is the dominant pattern of sequential fetch over loops of code.
-func (c *Cache) hit2(tag, si uint32, m *mruReg) int {
-	if c.runN != 0 { // see probe: no memo to protect before the first run
-		c.dirty[si>>6] |= 1 << (si & 63)
-	}
-	c.touch(si, uint(m.way2))
-	c.stats.Hits++
-	*m = mruReg{tag: tag, way: m.way2, tag2: m.tag, way2: m.way}
-	if c.skip[si] != 0 {
-		c.skip[si] = 0
-	}
-	return c.hitLat
-}
-
-// fill handles a miss: pick the victim, fetch the line from the next
-// level, and install it.
-func (c *Cache) fill(pa arch.PhysAddr, tag, si uint32, base int, set []uint32, m *mruReg) int {
-	// The first invalid way wins — the tags the probe just scanned are
-	// still hot — otherwise the set is full and the victim is the way at
-	// the back of the recency order.
-	victim := -1
-	for i, tg := range set {
 		if tg == tagInvalid {
-			victim = i
 			break
 		}
 	}
-	if victim < 0 {
-		// Full set: the LRU way is the unique valid way whose age-matrix
-		// row is all zero. The zero-byte trick marks the high bit of the
-		// lowest zero byte of y; any parked all-zero rows above assoc sit
-		// in higher bytes, so TrailingZeros lands on the real victim.
-		y := c.age[si] & c.colsAll
+	return c.fill(pa, tag, si, s, w)
+}
+
+// fill handles a miss in set si, whose probe stopped at way w: pick the
+// victim, fetch the line from the next level, and install it.
+func (c *Cache) fill(pa arch.PhysAddr, tag, si uint32, s *Set, w int) int {
+	// A probe that stopped inside the level's ways stopped at the first
+	// empty way, which is the victim. Otherwise the set is full, and the
+	// LRU way is the unique valid way whose age-matrix row is all zero:
+	// the zero-byte trick marks the high bit of the lowest zero byte of
+	// y, and the all-zero rows of ways past assoc sit in higher bytes, so
+	// TrailingZeros lands on the real victim.
+	victim := w
+	if w >= c.assoc {
+		y := s.Age & c.colsAll
 		victim = bits.TrailingZeros64((y-colOnes)&^y&0x8080808080808080) >> 3
 	}
 	c.stats.Misses++
@@ -363,29 +263,35 @@ func (c *Cache) fill(pa arch.PhysAddr, tag, si uint32, base int, set []uint32, m
 	} else {
 		latency += c.memLatency
 	}
-	evicted := set[victim]
-	if evicted != tagInvalid {
+	victim &= MaxAssoc - 1 // already < assoc; proves the index in range
+	if s.Tags[victim] != tagInvalid {
 		c.stats.Evictions++
 		if c.bus.Wants(obs.EvCacheEvict) {
 			c.bus.Publish(obs.Event{Kind: obs.EvCacheEvict, Source: c.cfg.Name, Addr: uint64(pa)})
 		}
 	}
-	set[victim] = tag
-	c.touch(si, uint(victim))
-	// A fill always revives the register — the just-installed line is the
-	// best possible first slot — and resets the adaptive miss streak.
-	c.skip[si] = 0
-	*m = mruReg{tag: tag, way: int32(victim), tag2: m.tag, way2: m.way}
-	// The eviction may have displaced the tag now sitting in the second
-	// MRU slot (the old MRU itself when assoc is 1); drop it so the
-	// register never claims residency for an evicted line.
-	if evicted != tagInvalid && m.tag2 == evicted {
-		m.tag2 = tagInvalid
+	s.Tags[victim] = tag
+	s.Age = touch(s.Age, uint(victim))
+	if c.runN != 0 { // see lookup
+		c.dirty[si>>6] |= 1 << (si & 63)
 	}
 	if c.bus.Wants(obs.EvCacheFill) {
 		c.bus.Publish(obs.Event{Kind: obs.EvCacheFill, Source: c.cfg.Name, Addr: uint64(pa)})
 	}
 	return latency
+}
+
+// way returns the way of set s holding tag, or -1.
+func (s *Set) way(tag uint32) int {
+	for w := 0; w < MaxAssoc; w++ {
+		switch s.Tags[w] {
+		case tag:
+			return w
+		case tagInvalid:
+			return -1
+		}
+	}
+	return -1
 }
 
 // AccessRun references n consecutive lines starting with the one holding
@@ -398,7 +304,7 @@ func (c *Cache) fill(pa arch.PhysAddr, tag, si uint32, base int, set []uint32, m
 //
 // Long wrapping runs go through accessRunFused, which proves whole sets
 // are already in their post-run state and skips them without a single
-// store (see its comment); the in-order row loop handles short runs and
+// store (see its comment); the in-order loop handles short runs and
 // remains the reference — and the fallback — whenever the fused engine's
 // set-by-set order could be observed (accessRunReorderSafe).
 func (c *Cache) AccessRun(pa arch.PhysAddr, n int) int {
@@ -408,34 +314,22 @@ func (c *Cache) AccessRun(pa arch.PhysAddr, n int) int {
 	// The fused engine's per-set fast path needs sets to see two lines of
 	// the run — it only pays off when the run wraps the set index space.
 	// Short runs — the overwhelmingly common straight-line block of a few
-	// lines — run the plain row loop.
+	// lines — run the plain loop.
 	if n > int(c.setMask)+1 && c.accessRunReorderSafe(n) {
 		return c.accessRunFused(pa, n)
 	}
 	return c.accessRunScalar(pa, n)
 }
 
-// accessRunScalar is the in-order reference loop: one register probe per
-// line, counters on the shared struct, events in stream order.
+// accessRunScalar is the in-order reference loop: one probe per line,
+// counters on the shared struct, events in stream order.
 func (c *Cache) accessRunScalar(pa arch.PhysAddr, n int) int {
 	tag := uint32(pa) >> c.setShift
 	lineSize := arch.PhysAddr(1) << c.setShift
 	stall := 0
 	for i := 0; i < n; i++ {
-		si := tag & c.setMask
-		var lat int
-		if m := &c.mru[si]; m.tag == tag {
-			c.stats.Accesses++
-			c.stats.Hits++
-			lat = c.hitLat
-		} else if m.tag2 == tag {
-			c.stats.Accesses++
-			lat = c.hit2(tag, si, m)
-		} else {
-			c.stats.Accesses++
-			lat = c.probe(pa, tag, si, m)
-		}
-		if lat > 1 {
+		c.stats.Accesses++
+		if lat := c.lookup(pa, tag); lat > 1 {
 			stall += lat - 1
 		}
 		tag++
@@ -472,41 +366,31 @@ func (c *Cache) accessRunReorderSafe(n int) bool {
 // fast path for sets that are already in their post-run state.
 //
 // The engine exploits a fixed-point property of the run's effect on one
-// set. A set receiving lines A then B (k = 2) that both hit through the
-// MRU register ends with register {B, A}, its adaptive streak at zero,
-// and its age word equal to touch(touch(age, wayA), wayB). The touch
-// sequence is idempotent — a second application passes the untouched
-// rows through unchanged and rewrites rows/columns A and B to the same
-// values — so if the set is ALREADY in exactly that end state, re-running
-// its lines changes nothing: A hits the second register slot, B hits the
-// second slot again, both reset an already-zero streak, the age word
-// maps to itself, and the register returns to {B, A}. The register
-// residency invariant (a valid register tag is resident at its recorded
-// way) guarantees both lines still hit, so the set's whole contribution
-// reduces to counters: k accesses, k hits, k*(hitLat-1) stall cycles.
+// set. A set receiving lines A then B (k = 2) that both hit ends with its
+// age word equal to touch(touch(age, wayA), wayB). The touch sequence is
+// idempotent — a second application passes the untouched rows through
+// unchanged and rewrites rows/columns A and B to the same values — so if
+// both lines are resident and the set's age word is ALREADY that end
+// state, re-running its lines changes nothing, and the set's whole
+// contribution reduces to counters: k accesses, k hits, k*(hitLat-1)
+// stall cycles. A set receiving one line (k = 1) is at its fixed point
+// when the line is resident in the set's most recent way. A set
+// receiving three or more lines is never treated as clean: its bit stays
+// set and it runs the per-line path every time.
 //
-// The fixed-point check is cheap — the expected register tags are
-// derived from (pa, n), the streak must read zero, and the age fixed
-// point is recomputed in a handful of ALU ops — but the dominant caller
-// replays one identical run hundreds of thousands of times, and even
-// the check is too much work to repeat per set per run. The dirty
-// bitmap amortizes it: after a full pass has verified (or repaired,
-// via the scalar per-line path) every set, a clear bit si vouches that
-// set si is still at the run's fixed point, because every mutation of
-// per-set state — probe hits, second-slot hits, fills, whether from
-// scalar accesses or other runs — sets the bit. A repeat of the
-// memoized run therefore touches only the sets dirtied since the last
-// one, skipping clean sets 64 at a time at the bitmap word level, and
-// re-verifies each dirty set after repairing it, clearing bits that
-// check out. Changing the run shape (a different tag0 or n) discards
-// the memo and forces a full verification pass, since a fixed point of
-// one run says nothing about another.
-//
-// A set receiving one line (k = 1) is at its fixed point when the line
-// holds the first register slot — a first-slot hit mutates nothing. A
-// set receiving three or more lines is never at a fixed point: its
-// first line cannot sit in the two-slot register at the end of a run,
-// so its bit stays set and it runs scalar every time.
+// The dominant caller replays one identical run hundreds of thousands of
+// times, and even the fixed-point check is too much work to repeat per
+// set per run. The dirty bitmap amortizes it: after a full pass has
+// verified (or repaired, via the per-line path) every set, a clear bit
+// si vouches that set si is still at the run's fixed point, because
+// every mutation of a set — a fill, or a hit that changes the age word,
+// whether from scalar accesses or other runs — sets the bit. A repeat of
+// the memoized run therefore touches only the sets dirtied since the
+// last one, skipping clean sets 64 at a time at the bitmap word level,
+// and re-verifies each dirty set after repairing it, clearing bits that
+// check out. Changing the run shape (a different tag0 or n) discards the
+// memo and forces a full verification pass, since a fixed point of one
+// run says nothing about another.
 func (c *Cache) accessRunFused(pa arch.PhysAddr, n int) int {
 	tag0 := uint32(pa) >> c.setShift
 	un := uint32(n)
@@ -535,9 +419,6 @@ func (c *Cache) accessRunFused(pa arch.PhysAddr, n int) int {
 	setStride := arch.PhysAddr(nSets) * lineSize
 	for w := range c.dirty {
 		word := c.dirty[w]
-		if word == 0 {
-			continue
-		}
 		for word != 0 {
 			b := uint32(bits.TrailingZeros64(word))
 			word &^= 1 << b
@@ -549,41 +430,29 @@ func (c *Cache) accessRunFused(pa arch.PhysAddr, n int) int {
 			}
 			dirtyLines += uint64(k)
 			tagA := tag0 + j
-			m := &c.mru[si]
 			lpa := pa + arch.PhysAddr(j)*lineSize
 			for tag := tagA; tag-tag0 < un; tag += nSets {
-				var lat int
-				if m.tag == tag {
-					c.stats.Accesses++
-					c.stats.Hits++
-					lat = hitLat
-				} else if m.tag2 == tag {
-					c.stats.Accesses++
-					lat = c.hit2(tag, si, m)
-				} else {
-					c.stats.Accesses++
-					lat = c.probe(lpa, tag, si, m)
-				}
-				if lat > 1 {
+				c.stats.Accesses++
+				if lat := c.lookup(lpa, tag); lat > 1 {
 					stall += lat - 1
 				}
 				lpa += setStride
 			}
 			// Re-verify: is the set now at this run's fixed point? The
-			// per-line path above re-marked it dirty; clear the bit when
-			// the end state checks out so the next identical run skips it.
+			// per-line path above may have re-marked it dirty; clear the
+			// bit when the end state checks out so the next identical run
+			// skips it.
+			s := &c.sets[si]
 			clean := false
-			if k == 2 {
-				if m.tag == tagA+nSets && m.tag2 == tagA && c.skip[si] == 0 {
-					wA := uint(m.way2) & 7
-					wB := uint(m.way) & 7
-					la := c.age[si]
-					t := (la | 0xFF<<(8*wA)) &^ (colOnes << wA)
-					t = (t | 0xFF<<(8*wB)) &^ (colOnes << wB)
-					clean = t == la
+			switch k {
+			case 1:
+				if wA := s.way(tagA); wA >= 0 {
+					clean = touch(s.Age, uint(wA)) == s.Age
 				}
-			} else if k == 1 {
-				clean = m.tag == tagA
+			case 2:
+				if wA, wB := s.way(tagA), s.way(tagA+nSets); wA >= 0 && wB >= 0 {
+					clean = touch(touch(s.Age, uint(wA)), uint(wB)) == s.Age
+				}
 			}
 			if clean {
 				c.dirty[w] &^= 1 << b
@@ -604,31 +473,13 @@ func (c *Cache) accessRunFused(pa arch.PhysAddr, n int) int {
 // without touching LRU state or counters.
 func (c *Cache) Contains(pa arch.PhysAddr) bool {
 	tag := uint32(pa) >> c.setShift
-	si := tag & c.setMask
-	base := int(si) * c.assoc
-	set := c.tags[base : base+c.assoc]
-	for _, tg := range set {
-		if tg == tag {
-			return true
-		}
-	}
-	return false
+	return c.sets[tag&c.setMask].way(tag) >= 0
 }
 
 // FlushAll invalidates every line at this level only.
 func (c *Cache) FlushAll() {
-	for i := range c.tags {
-		c.tags[i] = tagInvalid
-	}
-	for i := range c.mru {
-		c.mru[i].tag = tagInvalid
-		c.mru[i].tag2 = tagInvalid
-	}
-	for i := range c.age {
-		c.age[i] = 0
-	}
-	for i := range c.skip {
-		c.skip[i] = 0
+	for i := range c.sets {
+		c.sets[i] = emptySet
 	}
 	c.runN = 0 // every fused-run fixed point is gone with the lines
 }
@@ -636,16 +487,18 @@ func (c *Cache) FlushAll() {
 // Occupancy returns the number of valid lines.
 func (c *Cache) Occupancy() int {
 	n := 0
-	for _, tg := range c.tags {
-		if tg != tagInvalid {
-			n++
+	for i := range c.sets {
+		for _, tg := range c.sets[i].Tags {
+			if tg != tagInvalid {
+				n++
+			}
 		}
 	}
 	return n
 }
 
 // Clone returns a deep copy of this level for a checkpoint fork, wired
-// to the given lower level and event bus. The line array is one flat
+// to the given lower level and event bus. The set array is one flat
 // copy; nothing is allocated per line or per set. The header struct
 // comes from a when one is supplied (the per-machine clone arena); nil
 // allocates it directly.
@@ -657,10 +510,7 @@ func (c *Cache) Clone(next *Cache, bus *obs.Bus, a *alloc.Arena[Cache]) *Cache {
 		d = new(Cache)
 	}
 	*d = *c
-	d.tags = append([]uint32(nil), c.tags...)
-	d.mru = append([]mruReg(nil), c.mru...)
-	d.age = append([]uint64(nil), c.age...)
-	d.skip = append([]uint8(nil), c.skip...)
+	d.sets = append([]Set(nil), c.sets...)
 	d.dirty = append([]uint64(nil), c.dirty...)
 	d.next = next
 	d.bus = bus

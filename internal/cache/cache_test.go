@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -227,5 +228,44 @@ func TestSharedL2AcrossHierarchies(t *testing.T) {
 	}
 	if c1.L1I.Stats().Hits != 0 {
 		t.Error("core 1's private L1 must not have the line yet")
+	}
+}
+
+// TestValidWaysStayPrefix drives levels of every associativity with
+// random single accesses, runs and flushes, and demands after every
+// operation that each set's valid ways form a prefix ending at or before
+// the associativity — the invariant the probe's early exit and the
+// empty-way victim rely on — and that every set passes the admission
+// check a restored record must pass.
+func TestValidWaysStayPrefix(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, assoc := range []int{1, 2, 4, 8} {
+		l2 := New(Config{Name: "L2", Size: 16 << 10, LineSize: 32, Assoc: 8, HitLatency: 10}, nil, 50)
+		c := New(Config{Name: "L1", Size: assoc * 32 * 16, LineSize: 32, Assoc: assoc, HitLatency: 1}, l2, 0)
+		for op := 0; op < 5000; op++ {
+			pa := arch.PhysAddr(rng.Intn(32 << 10))
+			switch r := rng.Intn(100); {
+			case r < 60:
+				c.Access(pa)
+			case r < 98:
+				c.AccessRun(pa, 1+rng.Intn(40))
+			default:
+				c.FlushAll()
+			}
+			for _, lv := range []*Cache{c, l2} {
+				for si := range lv.sets {
+					s := &lv.sets[si]
+					for w := 1; w < MaxAssoc; w++ {
+						if s.Tags[w] != tagInvalid && (s.Tags[w-1] == tagInvalid || w >= lv.assoc) {
+							t.Fatalf("assoc %d op %d: %s set %d tags %#x: valid ways not a prefix of the %d ways",
+								assoc, op, lv.cfg.Name, si, s.Tags, lv.assoc)
+						}
+					}
+					if err := lv.checkSet(uint32(si), s); err != nil {
+						t.Fatalf("assoc %d op %d: %s set %d fails the admission check: %v", assoc, op, lv.cfg.Name, si, err)
+					}
+				}
+			}
+		}
 	}
 }

@@ -134,7 +134,7 @@ func TestCacheMatchesReference(t *testing.T) {
 			for i := 0; i < 200000; i++ {
 				var pa arch.PhysAddr
 				if rng.Intn(4) == 0 {
-					// Burst: revisit a recent line to exercise MRU paths.
+					// Burst: revisit a recent line to exercise recent-way hits.
 					pa = arch.PhysAddr(rng.Intn(pool/16)) * 32
 				} else {
 					pa = arch.PhysAddr(rng.Intn(pool))
@@ -181,11 +181,12 @@ func TestHierarchyMatchesReference(t *testing.T) {
 // TestAccessRunMatchesAccess drives one hierarchy with AccessRun and a
 // twin with the equivalent individual Access calls, over randomized runs
 // long enough to wrap the L1 set-index space (exercising the fused
-// set-local engine and its cross-set reordering), and demands identical
-// stall totals and identical complete state — tags, age matrices, MRU
-// registers, adaptive skip streaks, and counters at both levels. This is
-// the pin for the claim that the fused path is bit-exact against the
-// scalar path, including the transparent acceleration state.
+// set-local engine and its cross-set reordering), often repeating the
+// last run's shape so the engine's fixed-point memo is reused across
+// interleaved single accesses. It demands identical stall totals and
+// identical complete state — every set record (tags and age matrix) and
+// the counters at both levels. This is the pin for the claim that the
+// fused path is bit-exact against the scalar path.
 func TestAccessRunMatchesAccess(t *testing.T) {
 	l2cfg := Config{Name: "L2", Size: 64 << 10, LineSize: 32, Assoc: 8, HitLatency: 10}
 	l1cfg := Config{Name: "L1I", Size: 4 << 10, LineSize: 32, Assoc: 4, HitLatency: 1}
@@ -203,22 +204,18 @@ func TestAccessRunMatchesAccess(t *testing.T) {
 		}
 		for _, pair := range [][2]*Cache{{got, want}, {got.next, want.next}} {
 			g, w := pair[0], pair[1]
-			for si := range g.age {
-				if g.age[si] != w.age[si] || g.mru[si] != w.mru[si] || g.skip[si] != w.skip[si] {
-					t.Fatalf("op %d: %s set %d diverged: age %x/%x mru %+v/%+v skip %d/%d",
-						i, g.cfg.Name, si, g.age[si], w.age[si], g.mru[si], w.mru[si], g.skip[si], w.skip[si])
-				}
-			}
-			for j := range g.tags {
-				if g.tags[j] != w.tags[j] {
-					t.Fatalf("op %d: %s tags[%d] = %#x, scalar %#x", i, g.cfg.Name, j, g.tags[j], w.tags[j])
+			for si := range g.sets {
+				if g.sets[si] != w.sets[si] {
+					t.Fatalf("op %d: %s set %d diverged: %+v, scalar %+v", i, g.cfg.Name, si, g.sets[si], w.sets[si])
 				}
 			}
 		}
 	}
+	var lastPA arch.PhysAddr
+	lastN := 1
 	for i := 0; i < 4000; i++ {
 		pa := arch.PhysAddr(rng.Intn(48<<10)) &^ 31
-		switch rng.Intn(3) {
+		switch r := rng.Intn(4); r {
 		case 0: // single accesses, including re-references
 			gl, wl := got.Access(pa), want.Access(pa)
 			if gl != wl {
@@ -226,6 +223,10 @@ func TestAccessRunMatchesAccess(t *testing.T) {
 			}
 		default: // runs: short, set-spanning, and multi-wrap lengths
 			n := 1 + rng.Intn(3*nSets)
+			if r == 1 { // repeat the last run shape, so the fused memo is reused
+				pa, n = lastPA, lastN
+			}
+			lastPA, lastN = pa, n
 			stall := got.AccessRun(pa, n)
 			ref := 0
 			for k := 0; k < n; k++ {

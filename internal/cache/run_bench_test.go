@@ -17,7 +17,7 @@ func BenchmarkAccessRun(b *testing.B) {
 		c := newL1()
 		const lines = 512
 		c.AccessRun(0x10000, lines) // warm: all resident afterwards
-		c.AccessRun(0x10000, lines) // settle registers into steady state
+		c.AccessRun(0x10000, lines) // settle the memo into steady state
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

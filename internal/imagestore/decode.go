@@ -24,7 +24,7 @@ func section(data []byte, r sectionRange) []byte {
 // validCacheConfig pre-checks the invariants cache.New would panic on,
 // so a file with fabricated metadata is rejected with an error instead.
 func validCacheConfig(c cache.Config) error {
-	if c.Size <= 0 || c.LineSize <= 0 || c.Assoc <= 0 || c.Assoc > 8 {
+	if c.Size <= 0 || c.LineSize <= 0 || c.Assoc <= 0 || c.Assoc > cache.MaxAssoc {
 		return fmt.Errorf("imagestore: cache %q has impossible config %+v", c.Name, c)
 	}
 	if c.LineSize&(c.LineSize-1) != 0 {
@@ -88,16 +88,9 @@ func decodeImage(data []byte, u *workload.Universe) (*checkpoint.Image, string, 
 		return nil, "", err
 	}
 
-	// Cache arrays, carved in the fixed level order.
-	tags, err := castSlice[uint32](data, dir[secCacheTags], "cache-tag")
-	if err != nil {
-		return nil, "", err
-	}
-	mrus, err := castSlice[cache.MRUSnapshot](data, dir[secCacheMRU], "cache-mru")
-	if err != nil {
-		return nil, "", err
-	}
-	ages, err := castSlice[uint64](data, dir[secCacheAge], "cache-age")
+	// Cache set records, carved in the fixed level order. cache.Restore
+	// checks every record before adopting it in place.
+	sets, err := castSlice[cache.Set](data, dir[secCacheSets], "cache-set")
 	if err != nil {
 		return nil, "", err
 	}
@@ -106,17 +99,13 @@ func decodeImage(data []byte, u *workload.Universe) (*checkpoint.Image, string, 
 			return nil, "", err
 		}
 		nSets := cs.Config.Size / (cs.Config.LineSize * cs.Config.Assoc)
-		nTags := nSets * cs.Config.Assoc
-		if nTags > len(tags) || nSets > len(mrus) || nSets > len(ages) {
-			return nil, "", fmt.Errorf("imagestore: cache sections exhausted at level %q", cs.Config.Name)
+		if nSets > len(sets) {
+			return nil, "", fmt.Errorf("imagestore: cache set section exhausted at level %q", cs.Config.Name)
 		}
-		cs.Tags, tags = tags[:nTags:nTags], tags[nTags:]
-		cs.MRU, mrus = mrus[:nSets:nSets], mrus[nSets:]
-		cs.Age, ages = ages[:nSets:nSets], ages[nSets:]
+		cs.Sets, sets = sets[:nSets:nSets], sets[nSets:]
 	}
-	if len(tags) != 0 || len(mrus) != 0 || len(ages) != 0 {
-		return nil, "", fmt.Errorf("imagestore: %d tags, %d MRU registers, %d age words left over",
-			len(tags), len(mrus), len(ages))
+	if len(sets) != 0 {
+		return nil, "", fmt.Errorf("imagestore: %d cache set records left over", len(sets))
 	}
 
 	// Page-table slot arrays: geo.NumSlots() per process, PID order.

@@ -80,14 +80,10 @@ func encodeImage(key string, img *checkpoint.Image) ([]byte, error) {
 	freeList := snap.Kernel.Phys.FreeList
 	snap.Kernel.Phys.FreeList = nil
 
-	var tags []uint32
-	var mrus []cache.MRUSnapshot
-	var ages []uint64
+	var sets []cache.Set
 	for _, cs := range cacheSnapshots(&snap.Kernel) {
-		tags = append(tags, cs.Tags...)
-		mrus = append(mrus, cs.MRU...)
-		ages = append(ages, cs.Age...)
-		cs.Tags, cs.MRU, cs.Age = nil, nil, nil
+		sets = append(sets, cs.Sets...)
+		cs.Sets = nil
 	}
 
 	var slots []pagetable.SlotSnapshot
@@ -129,9 +125,7 @@ func encodeImage(key string, img *checkpoint.Image) ([]byte, error) {
 		secPTEs:      bytesOf(ptes),
 		secPTSlots:   bytesOf(slots),
 		secFilePages: bytesOf(filePages),
-		secCacheTags: bytesOf(tags),
-		secCacheMRU:  bytesOf(mrus),
-		secCacheAge:  bytesOf(ages),
+		secCacheSets: bytesOf(sets),
 	}
 
 	// Lay the sections out 8-aligned in index order behind the header.

@@ -1,11 +1,13 @@
-// Image file format: a fixed header, a section directory, and nine
+// Image file format: a fixed header, a section directory, and seven
 // 8-byte-aligned sections. The bulky machine state — frame metadata,
-// PTE arrays, page-table slot arrays, page-cache page arrays, cache
-// line/recency arrays — is stored as flat binary images of the
-// in-memory structs, so a load is a handful of bounds checks plus
-// in-place slice casts over the mapped file; everything small (the
-// snapshot scalars, region lists, TLB entries) travels as one gob
-// document in the META section.
+// PTE arrays, page-table slot arrays, page-cache page arrays, cache set
+// records — is stored as flat binary images of the in-memory structs,
+// so a load is a handful of bounds checks plus in-place slice casts over
+// the mapped file; everything small (the snapshot scalars, region
+// lists, TLB entries) travels as one gob document in the META section.
+// The cache set records are the simulator's own hot-path layout
+// (cache.Set), adopted in place and checked record by record at
+// admission.
 //
 //	[0:8]   magic "SATIMG01"
 //	[8:12]  format version (uint32)
@@ -43,7 +45,7 @@ import (
 
 // FormatVersion is the on-disk format generation. Bump it on any
 // incompatible change; stored images of other versions are discarded.
-const FormatVersion = 2
+const FormatVersion = 3
 
 const magic = "SATIMG01"
 
@@ -57,9 +59,7 @@ const (
 	secPTEs             // []pagetable.PTE, all leaf tables at LeafEntries stride
 	secPTSlots          // []pagetable.SlotSnapshot, NumSlots per process, PID order
 	secFilePages        // []vm.FilePage, page-cache arrays back to back
-	secCacheTags        // []uint32: L2 then per-CPU L1I, L1D tag arrays
-	secCacheMRU         // []cache.MRUSnapshot, same order
-	secCacheAge         // []uint64, same order
+	secCacheSets        // []cache.Set: L2 then per-CPU L1I, L1D set arrays
 	numSections
 )
 
@@ -100,13 +100,13 @@ func layoutHash() uint32 {
 	var p pagetable.PTE
 	var sl pagetable.SlotSnapshot
 	var fp vm.FilePage
-	var m cache.MRUSnapshot
+	var cs cache.Set
 	vals := []uintptr{
 		unsafe.Sizeof(f), unsafe.Offsetof(f.Num), unsafe.Offsetof(f.Kind), unsafe.Offsetof(f.MapCount),
 		unsafe.Sizeof(p), unsafe.Offsetof(p.Frame), unsafe.Offsetof(p.Flags), unsafe.Offsetof(p.Soft),
 		unsafe.Sizeof(sl), unsafe.Offsetof(sl.Table), unsafe.Offsetof(sl.Domain), unsafe.Offsetof(sl.NeedCopy),
 		unsafe.Sizeof(fp), unsafe.Offsetof(fp.Idx), unsafe.Offsetof(fp.Frame),
-		unsafe.Sizeof(m), unsafe.Offsetof(m.Tag), unsafe.Offsetof(m.Tag2), unsafe.Offsetof(m.Way), unsafe.Offsetof(m.Way2),
+		unsafe.Sizeof(cs), unsafe.Offsetof(cs.Tags), unsafe.Offsetof(cs.Age),
 	}
 	h := uint32(2166136261)
 	for _, v := range vals {
@@ -134,8 +134,8 @@ func layoutOK() error {
 	if s := unsafe.Sizeof(vm.FilePage{}); s != 8 {
 		return fmt.Errorf("imagestore: vm.FilePage is %d bytes, format wants 8", s)
 	}
-	if s := unsafe.Sizeof(cache.MRUSnapshot{}); s != 16 {
-		return fmt.Errorf("imagestore: cache.MRUSnapshot is %d bytes, format wants 16", s)
+	if s := unsafe.Sizeof(cache.Set{}); s != 40 {
+		return fmt.Errorf("imagestore: cache.Set is %d bytes, format wants 40", s)
 	}
 	return nil
 }

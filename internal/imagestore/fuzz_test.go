@@ -63,6 +63,9 @@ func FuzzDecodeImage(f *testing.F) {
 	for _, n := range truncLengths(len(base)) {
 		f.Add(uint32(0), []byte(nil), uint32(n))
 	}
+	for _, c := range setCorruptions(f, base) {
+		f.Add(uint32(c.off), c.patch, uint32(math.MaxUint32))
+	}
 	u := workload.DefaultUniverse()
 	f.Fuzz(func(t *testing.T, off uint32, patch []byte, keep uint32) {
 		data := mutateImage(base, off, patch, keep)

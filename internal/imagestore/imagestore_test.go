@@ -7,11 +7,16 @@
 package imagestore
 
 import (
+	"encoding/binary"
+	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/android"
+	"repro/internal/cache"
 	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/workload"
@@ -183,6 +188,178 @@ func flipOffsets(n int) []int {
 // n-byte image file.
 func truncLengths(n int) []int {
 	return []int{0, 1, headerSize - 1, headerSize, n / 3, n - 1}
+}
+
+// setCorruption is one crafted defect in a stored cache set record:
+// XOR patch at file offset off breaks exactly one of the invariants
+// cache.Restore checks, and want is a fragment of the resulting error.
+type setCorruption struct {
+	name  string
+	off   int
+	patch []byte
+	want  string
+}
+
+// setCorruptions crafts one defect per admission rule for set records
+// in an encoded image: a valid way past the associativity, a gap in the
+// valid-way prefix, a tag indexing another set, a tag held twice, a
+// nonzero age row for an empty way, a nonzero age diagonal, and an age
+// word that orders a pair of ways both ways.
+func setCorruptions(t testing.TB, base []byte) []setCorruption {
+	t.Helper()
+	dir, err := parseHeader(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta, err := decodeMeta(base, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sets, err := castSlice[cache.Set](base, dir[secCacheSets], "cache-set")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const recSize = int(unsafe.Sizeof(cache.Set{}))
+	// find returns the file offset and a copy of the first record of a
+	// level with the given associativity whose valid-way count satisfies
+	// ok.
+	find := func(assoc int, ok func(valid int) bool) (int, cache.Set) {
+		first := 0
+		for _, cs := range cacheSnapshots(&meta.System.Kernel) {
+			n := cs.Config.Size / (cs.Config.LineSize * cs.Config.Assoc)
+			for i := first; cs.Config.Assoc == assoc && i < first+n; i++ {
+				valid := 0
+				for valid < cache.MaxAssoc && sets[i].Tags[valid] != ^uint32(0) {
+					valid++
+				}
+				if ok(valid) {
+					return int(dir[secCacheSets].Off) + i*recSize, sets[i]
+				}
+			}
+			first += n
+		}
+		t.Fatalf("no %d-way set record fits the corruption", assoc)
+		return 0, cache.Set{}
+	}
+	// corrupt XOR-encodes the change from old to new record.
+	corrupt := func(name string, off int, old, new cache.Set, want string) setCorruption {
+		o := unsafe.Slice((*byte)(unsafe.Pointer(&old)), recSize)
+		n := unsafe.Slice((*byte)(unsafe.Pointer(&new)), recSize)
+		patch := make([]byte, recSize)
+		for i := range patch {
+			patch[i] = o[i] ^ n[i]
+		}
+		return setCorruption{name: name, off: off, patch: patch, want: want}
+	}
+	// alias is a tag of the same set that no way holds.
+	alias := func(s cache.Set) uint32 { return s.Tags[0] ^ 1<<30 }
+	var cs []setCorruption
+
+	off, s := find(4, func(v int) bool { return v == 4 })
+	bad := s
+	bad.Tags[4] = alias(s)
+	cs = append(cs, corrupt("way-past-assoc", off, s, bad, "associativity"))
+
+	off, s = find(8, func(v int) bool { return v >= 1 && v <= 6 })
+	bad = s
+	for w := range bad.Tags {
+		if bad.Tags[w] == ^uint32(0) {
+			bad.Tags[w+1] = alias(s)
+			break
+		}
+	}
+	cs = append(cs, corrupt("prefix-gap", off, s, bad, "follows empty way"))
+
+	off, s = find(8, func(v int) bool { return v >= 1 })
+	bad = s
+	bad.Tags[0] ^= 1
+	cs = append(cs, corrupt("foreign-tag", off, s, bad, "belongs to set"))
+
+	off, s = find(8, func(v int) bool { return v >= 2 })
+	bad = s
+	bad.Tags[1] = bad.Tags[0]
+	cs = append(cs, corrupt("duplicate-tag", off, s, bad, "held by ways"))
+
+	off, s = find(8, func(v int) bool { return v >= 1 && v < 8 })
+	bad = s
+	bad.Age |= 1 << 56 // row 7, column 0
+	cs = append(cs, corrupt("empty-way-age-row", off, s, bad, "nonzero row"))
+
+	off, s = find(8, func(v int) bool { return v >= 1 })
+	bad = s
+	bad.Age |= 1 // [0][0]
+	cs = append(cs, corrupt("age-diagonal", off, s, bad, "nonzero diagonal"))
+
+	off, s = find(8, func(v int) bool { return v >= 2 })
+	bad = s
+	bad.Age |= 1<<1 | 1<<8 // [0][1] and [1][0]
+	cs = append(cs, corrupt("age-pair-both-ways", off, s, bad, "both ways"))
+	return cs
+}
+
+// TestSetRecordCorruptionRejected admits a stored image only when every
+// cache set record keeps the invariants the hot path relies on: each
+// crafted defect, with the checksum fixed up, must fail decoding with
+// the rule it breaks, and the store must discard the file.
+func TestSetRecordCorruptionRejected(t *testing.T) {
+	store := openStore(t)
+	key := bootKey(android.Options{})
+	good, err := encodeImage(key, checkpoint.Capture(bootSys(t, android.Options{})))
+	if err != nil {
+		t.Fatal(err)
+	}
+	u := workload.DefaultUniverse()
+	if _, _, err := decodeImage(append([]byte(nil), good...), u); err != nil {
+		t.Fatalf("unmodified image rejected: %v", err)
+	}
+	path := filepath.Join(store.Dir(), fileName(key))
+	for _, c := range setCorruptions(t, good) {
+		t.Run(c.name, func(t *testing.T) {
+			bad := mutateImage(good, uint32(c.off), c.patch, math.MaxUint32)
+			if _, _, err := decodeImage(bad, u); err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("decodeImage error = %v, want one containing %q", err, c.want)
+			}
+			if err := os.WriteFile(path, bad, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := store.Load(key); ok {
+				t.Fatal("store admitted the defective image")
+			}
+			if _, err := os.Stat(path); !os.IsNotExist(err) {
+				t.Error("defective file not removed after rejection")
+			}
+		})
+	}
+}
+
+// TestPreviousFormatRemoved stores a file that is intact except for
+// the previous format version: the store must reject it, remove it, and
+// write the current format on the next save.
+func TestPreviousFormatRemoved(t *testing.T) {
+	store := openStore(t)
+	key := bootKey(android.Options{})
+	img := checkpoint.Capture(bootSys(t, android.Options{}))
+	good, err := encodeImage(key, img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := append([]byte(nil), good...)
+	binary.LittleEndian.PutUint32(old[8:12], FormatVersion-1)
+	old = mutateImage(old, 0, nil, math.MaxUint32) // checksum fixed up
+	path := filepath.Join(store.Dir(), fileName(key))
+	if err := os.WriteFile(path, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := store.Load(key); ok {
+		t.Fatal("store admitted a previous-format file")
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatal("previous-format file not removed")
+	}
+	store.Save(key, img)
+	if _, ok := store.Load(key); !ok {
+		t.Fatal("rewritten image does not load")
+	}
 }
 
 // TestCorruptionRejected flips one bit at offsets spread across every

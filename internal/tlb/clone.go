@@ -26,6 +26,6 @@ func (t *TLB) Clone(bus *obs.Bus, a *alloc.Arena[TLB]) *TLB {
 	c.validBits = append([]uint64(nil), t.validBits...)
 	c.lruPrev = append([]int32(nil), t.lruPrev...)
 	c.lruNext = append([]int32(nil), t.lruNext...)
-	c.idx = t.idx.clone()
+	c.buckets = append([]int32(nil), t.buckets...)
 	return c
 }

@@ -275,18 +275,18 @@ func diffPeekCommit(t *testing.T, rng *rand.Rand, indexed *TLB, ref *linearTLB, 
 	}
 }
 
-// maxChain returns the length of the TLB's longest key chain.
+// maxChain returns the most entries one key holds: buckets may mix
+// keys, so each bucket's chain is counted per key.
 func maxChain(tb *TLB) int {
 	longest := 0
-	for i, k := range tb.idx.keys {
-		if k == idxEmpty {
-			continue
+	for _, h := range tb.buckets {
+		perKey := map[uint32]int{}
+		for s := h - 1; s >= 0; s = tb.keyNext[s] {
+			e := &tb.entries[s]
+			k := entryKey(e.vpn, e.large)
+			perKey[k]++
+			longest = max(longest, perKey[k])
 		}
-		n := 0
-		for s := tb.idx.slots[i]; s >= 0; s = tb.keyNext[s] {
-			n++
-		}
-		longest = max(longest, n)
 	}
 	return longest
 }

@@ -107,7 +107,12 @@ func (t *TLB) ResolvesVPN(slot int32, vpn uint32, asid arch.ASID) bool {
 	if !e.large {
 		return true
 	}
-	return t.idx.get(entryKey(vpn, false)) < 0
+	for s := t.buckets[t.bucket(entryKey(vpn, false))] - 1; s >= 0; s = t.keyNext[s] {
+		if f := &t.entries[s]; !f.large && f.vpn == vpn {
+			return false
+		}
+	}
+	return true
 }
 
 // LookupRun resolves up to max references at va, va+stride, ... and

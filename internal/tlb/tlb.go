@@ -21,13 +21,13 @@
 // hardware does that in parallel; software cannot), the TLB indexes the
 // slots by the only keys that can match a virtual page number:
 //
-//   - idx maps key(vpn, large) to the lowest slot holding that key, and
-//     keyNext links every slot sharing the key in ascending slot order.
-//     A probe walks at most two such chains — the page's 4KB key and,
-//     while large entries are resident, its block's large key — merged by
-//     slot number, which is exactly the reference scan order restricted
-//     to the entries that can match. A page held by many ASIDs costs a
-//     chain step per holder, never a scan of the whole TLB.
+//   - key(vpn, large) hashes to a bucket, and each bucket chains its
+//     slots in ascending slot order (idx.go). A probe walks at most two
+//     buckets — the page's 4KB key's and, while large entries are
+//     resident, its block's large key's — merged by slot number, which is
+//     the reference scan order restricted to a superset of the entries
+//     that can match; Entry.match filters the rest. A page held by many
+//     ASIDs costs a chain step per holder, never a scan of the whole TLB.
 //   - a one-entry MRU register short-circuits repeated probes of the same
 //     page under the same ASID and DACR, the common case for straight-line
 //     code. Any mutation of the entry array invalidates it.
@@ -35,10 +35,10 @@
 //     lastUse values are unique) make Insert's victim choice O(1).
 //
 // FlushAll, run on every context switch, resets only state that is read
-// again: the entries, the index's key array, the bitmap (its phantom
-// bits from a mask computed in New) and the list ends, and an empty TLB
-// skips even that. Chain and LRU links of invalid slots are stale but
-// never read: inserting a slot rewrites them.
+// again: the entries, the bucket heads, the bitmap (its phantom bits from
+// a mask computed in New) and the list ends, and an empty TLB skips even
+// that. Chain and LRU links of invalid slots are stale but never read:
+// inserting a slot rewrites them.
 //
 // The indexed paths are behaviourally identical to the reference linear
 // implementation (linearTLB in reference_test.go) — same results, same
@@ -166,14 +166,15 @@ type TLB struct {
 	// Sv39's 2MB megapages).
 	largeMask uint32
 
-	// Indexed fast path; see the package comment. keyNext links the
-	// valid slots of one index key in ascending order (-1 ends a chain).
+	// Indexed fast path; see the package comment. buckets holds each
+	// bucket's lowest slot plus one (0: empty bucket), and keyNext links
+	// the valid slots of one bucket in ascending order (-1 ends a chain).
 	// validBits marks valid slots; the bits of its last word past
 	// len(entries) (phantom) are permanently set so the first-free scan
 	// never reports them. lruPrev/lruNext thread the valid slots in
 	// recency order: lruHead is the least and lruTail the most recently
 	// used.
-	idx       idxTable
+	buckets   []int32
 	keyNext   []int32
 	validBits []uint64
 	phantom   uint64
@@ -207,7 +208,7 @@ func New(name string, entries, pagesPerLarge int) *TLB {
 		name:      name,
 		largeMask: uint32(pagesPerLarge - 1),
 		entries:   make([]Entry, entries),
-		idx:       newIdxTable(entries),
+		buckets:   newBuckets(entries),
 		keyNext:   make([]int32, entries),
 		validBits: make([]uint64, (entries+63)/64),
 		lruPrev:   make([]int32, entries),
@@ -265,12 +266,11 @@ func (t *TLB) flushed(n int) {
 }
 
 // entryKey packs an entry's index key: the stored (pre-masked) VPN and
-// the large-page bit, so 4KB and 64KB entries never collide on a key.
-// The low bit is always set, keeping every key distinct from idxEmpty.
+// the large-page bit, so 4KB and 64KB entries never share a key.
 func entryKey(vpn uint32, large bool) uint32 {
-	k := vpn<<2 | 1
+	k := vpn << 1
 	if large {
-		k |= 2
+		k |= 1
 	}
 	return k
 }
@@ -307,26 +307,20 @@ func (e *Entry) permit(kind arch.AccessKind) bool {
 
 // --- index, bitmap, and LRU-list maintenance --------------------------------
 
-// idxAdd links the (valid) entry at slot into its key chain, keeping the
-// chain in ascending slot order.
+// idxAdd links the (valid) entry at slot into its bucket chain, keeping
+// the chain in ascending slot order.
 func (t *TLB) idxAdd(slot int32) {
 	e := &t.entries[slot]
 	if e.large {
 		t.numLarge++
 	}
-	k := entryKey(e.vpn, e.large)
-	i := t.idx.find(k)
-	if t.idx.keys[i] == idxEmpty {
-		t.idx.keys[i], t.idx.slots[i] = k, slot
-		t.keyNext[slot] = -1
+	b := t.bucket(entryKey(e.vpn, e.large))
+	p := t.buckets[b] - 1
+	if p < 0 || slot < p {
+		t.buckets[b] = slot + 1
+		t.keyNext[slot] = p
 		return
 	}
-	if h := t.idx.slots[i]; slot < h {
-		t.idx.slots[i] = slot
-		t.keyNext[slot] = h
-		return
-	}
-	p := t.idx.slots[i]
 	for n := t.keyNext[p]; n >= 0 && n < slot; n = t.keyNext[p] {
 		p = n
 	}
@@ -334,44 +328,44 @@ func (t *TLB) idxAdd(slot int32) {
 	t.keyNext[p] = slot
 }
 
-// idxRemove unlinks the (still valid) entry at slot from its key chain.
+// idxRemove unlinks the (still valid) entry at slot from its bucket chain.
 func (t *TLB) idxRemove(slot int32) {
 	e := &t.entries[slot]
 	if e.large {
 		t.numLarge--
 	}
-	i := t.idx.find(entryKey(e.vpn, e.large))
-	if p := t.idx.slots[i]; p != slot {
+	b := t.bucket(entryKey(e.vpn, e.large))
+	if p := t.buckets[b] - 1; p != slot {
 		for t.keyNext[p] != slot {
 			p = t.keyNext[p]
 		}
 		t.keyNext[p] = t.keyNext[slot]
 		return
 	}
-	if n := t.keyNext[slot]; n >= 0 {
-		t.idx.slots[i] = n
-	} else {
-		t.idx.delAt(i)
-	}
+	t.buckets[b] = t.keyNext[slot] + 1
 }
 
-// heads returns the heads of the two key chains that can hold an entry
-// matching vpn: the page's 4KB key and, while any large entry is
-// resident, its block's large key. -1 marks an empty chain; the two
-// heads are equal only when both are -1, since distinct keys never
-// share a slot.
+// heads returns the heads of the two bucket chains that can hold an
+// entry matching vpn: the bucket of the page's 4KB key and, while any
+// large entry is resident, the bucket of its block's large key. -1 marks
+// an empty chain. The large chain is -1 when both keys share a bucket,
+// so no slot is visited twice; the two heads are then equal only when
+// both are -1, since distinct buckets never share a slot.
 func (t *TLB) heads(vpn uint32) (small, large int32) {
 	if t.numValid == 0 {
 		return -1, -1 // freshly flushed: no hash probe needed
 	}
-	small, large = t.idx.get(entryKey(vpn, false)), -1
+	bs := t.bucket(entryKey(vpn, false))
+	small, large = t.buckets[bs]-1, -1
 	if t.numLarge != 0 {
-		large = t.idx.get(entryKey(vpn&^t.largeMask, true))
+		if bl := t.bucket(entryKey(vpn&^t.largeMask, true)); bl != bs {
+			large = t.buckets[bl] - 1
+		}
 	}
 	return small, large
 }
 
-// pop merges two ascending key chains: it returns the lower of the heads
+// pop merges two ascending bucket chains: it returns the lower of the heads
 // a and b (-1 sorts last as a uint32) with both chains advanced past it.
 // Walking `for a != b { s, a, b = t.pop(a, b) }` visits every slot of
 // both chains in ascending slot order: the reference scan order.
@@ -621,7 +615,7 @@ func (t *TLB) FlushAll() {
 	n := t.numValid
 	if n != 0 {
 		clear(t.entries)
-		t.idx.clear()
+		clear(t.buckets)
 		t.numLarge = 0
 		clear(t.validBits)
 		t.validBits[len(t.validBits)-1] = t.phantom
@@ -691,21 +685,21 @@ func (t *TLB) FlushGlobal() int {
 // regardless of ASID or global bit: a 4KB entry for its page and a large
 // entry for its block. The domain-fault handler uses this to evict the
 // global entries a non-zygote process tripped over. Those entries are
-// exactly the two key chains of the page; each removal takes its
-// chain's head.
+// the ones on the page's two bucket chains whose key is the page's 4KB
+// key or its block's large key; other keys sharing a bucket survive.
 func (t *TLB) FlushVA(va arch.VirtAddr) int {
 	t.mru.ok = false
-	a, b := t.heads(arch.VPN(va))
+	vpn := arch.VPN(va)
+	small, large := entryKey(vpn, false), entryKey(vpn&^t.largeMask, true)
 	n := 0
-	for ; a >= 0; n++ {
-		next := t.keyNext[a]
-		t.removeEntry(a)
-		a = next
-	}
-	for ; b >= 0; n++ {
-		next := t.keyNext[b]
-		t.removeEntry(b)
-		b = next
+	for a, b := t.heads(vpn); a != b; {
+		var s int32
+		s, a, b = t.pop(a, b)
+		e := &t.entries[s]
+		if k := entryKey(e.vpn, e.large); k == small || k == large {
+			t.removeEntry(s)
+			n++
+		}
 	}
 	t.flushed(n)
 	return n

@@ -204,6 +204,46 @@ func TestFlushVA(t *testing.T) {
 	}
 }
 
+// TestFlushVASharedBucket flushes one page whose bucket also chains
+// another page's entries: a 4KB page of its own and a large block whose
+// key lands in the same bucket. Only the flushed page's entries may go.
+func TestFlushVASharedBucket(t *testing.T) {
+	tb := New("main", 32, armv7.PagesPerLargePage)
+	dacr := armv7.StockDACR()
+	const target = uint32(3)
+	home := tb.bucket(entryKey(target, false))
+	smallPeer, largePeer := uint32(0), uint32(0)
+	for v := uint32(1); smallPeer == 0 || largePeer == 0; v++ {
+		if v != target && smallPeer == 0 && tb.bucket(entryKey(v, false)) == home {
+			smallPeer = v
+		}
+		block := v * armv7.PagesPerLargePage
+		if block != target&^(armv7.PagesPerLargePage-1) && largePeer == 0 && tb.bucket(entryKey(block, true)) == home {
+			largePeer = block
+		}
+	}
+	va := func(vpn uint32) arch.VirtAddr { return arch.VirtAddr(vpn) << arch.PageShift }
+	for a := arch.ASID(1); a <= 3; a++ {
+		tb.Insert(va(target), a, 1, userFlags(0), armv7.DomainUser)
+		tb.Insert(va(smallPeer), a, 2, userFlags(0), armv7.DomainUser)
+	}
+	tb.Insert(va(largePeer), asid1, 3, userFlags(arch.PTELarge), armv7.DomainUser)
+	if n := tb.FlushVA(va(target)); n != 3 {
+		t.Fatalf("FlushVA removed %d entries, want the target page's 3", n)
+	}
+	for a := arch.ASID(1); a <= 3; a++ {
+		if _, _, r := tb.Lookup(va(target), a, dacr, arch.AccessFetch); r != Miss {
+			t.Errorf("asid %d: flushed page lookup = %v, want miss", a, r)
+		}
+		if e, _, r := tb.Lookup(va(smallPeer), a, dacr, arch.AccessFetch); r != Hit || e.Frame() != 2 {
+			t.Errorf("asid %d: bucket peer page lookup = %v frame %d, want a hit on frame 2", a, r, e.Frame())
+		}
+	}
+	if e, _, r := tb.Lookup(va(largePeer+5), asid1, dacr, arch.AccessFetch); r != Hit || e.Frame() != 3 {
+		t.Errorf("bucket peer large block lookup = %v frame %d, want a hit on frame 3", r, e.Frame())
+	}
+}
+
 func TestFlushRange(t *testing.T) {
 	tb := New("main", 8, armv7.PagesPerLargePage)
 	dacr := armv7.StockDACR()
